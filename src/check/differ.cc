@@ -169,8 +169,10 @@ diffTrace(const DiffConfig &cfg, const std::vector<MemRef> &trace,
                                                 blocks))
                     return DiffFailure{names[i], v->kind, step,
                                        v->detail};
-                if (cfg.nativeInvariants)
+                if (cfg.nativeInvariants) {
                     protos[i]->checkInvariants();
+                    protos[i]->bank().checkIndex();
+                }
             }
         }
     }
@@ -180,8 +182,10 @@ diffTrace(const DiffConfig &cfg, const std::vector<MemRef> &trace,
         if (auto v = checkProtocolState(*protos[i], oracle, blocks))
             return DiffFailure{names[i], v->kind, trace.size(),
                                v->detail};
-        if (cfg.nativeInvariants)
+        if (cfg.nativeInvariants) {
             protos[i]->checkInvariants();
+            protos[i]->bank().checkIndex();
+        }
     }
     for (const Addr a : blocks) {
         const Value want = oracle.expected(a);

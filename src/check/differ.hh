@@ -59,9 +59,10 @@ struct DiffConfig
     /** Run the structural invariant suite every N references
      *  (0 = only at the end). */
     std::uint64_t structuralEvery = 64;
-    /** Also call each scheme's own (panicking) checkInvariants();
-     *  disable when replaying a known-broken scheme so the failure
-     *  reaches the shrinker instead of aborting. */
+    /** Also call each scheme's own (panicking) checkInvariants() and
+     *  the holder-index cross-check (CacheBank::checkIndex); disable
+     *  when replaying a known-broken scheme so the failure reaches the
+     *  shrinker instead of aborting. */
     bool nativeInvariants = true;
     /** Drive the timed two-bit tier with the same trace. */
     bool withTimed = false;

@@ -255,6 +255,7 @@ explore(const ExplorerConfig &cfg)
                 fail(*v, next);
                 break;
             }
+            sim.proto->bank().checkIndex();
 
             const std::string sig = signatureOf(sim, cfg);
             if (seen.size() >= cfg.maxStates)

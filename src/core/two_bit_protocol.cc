@@ -13,116 +13,24 @@ TwoBitProtocol::TwoBitProtocol(const std::string &name,
                                const ProtoConfig &cfg)
     : Protocol(name, cfg),
       dirs_(makeTwoBitDirectories(cfg.numModules, cfg.dirRamBudget))
-{
-    if (cfg.snoopFilter)
-        snoops_.resize(cfg.numProcs);
-}
-
-void
-TwoBitProtocol::fillLine(ProcId k, Addr a, LineState st, Value v)
-{
-    caches_[k].fill(a, st, v);
-    if (!snoops_.empty())
-        snoops_[k].insert(a);
-}
-
-bool
-TwoBitProtocol::dropLine(ProcId k, Addr a)
-{
-    const bool had = caches_[k].invalidate(a);
-    if (had && !snoops_.empty())
-        snoops_[k].erase(a);
-    return had;
-}
-
-bool
-TwoBitProtocol::snoopSteals(ProcId i, Addr a)
-{
-    if (snoops_.empty())
-        return true;
-    return snoops_[i].check(a);
-}
-
-void
-TwoBitProtocol::broadcastInvalidate(Addr a, ProcId except)
-{
-    ++counts_.broadcasts;
-    for (ProcId i = 0; i < cfg_.numProcs; ++i) {
-        if (i == except)
-            continue;
-        ++counts_.broadcastCmds;
-        ++counts_.netMessages;
-        CacheLine *l = caches_[i].lookup(a, false);
-        deliverCmd(i, l != nullptr, snoopSteals(i, a));
-        if (l) {
-            DIR2B_ASSERT(!l->dirty(),
-                         "BROADINV found a dirty copy of ", a,
-                         " in cache ", i,
-                         " while the directory said clean");
-            dropLine(i, a);
-            ++counts_.invalidations;
-        }
-    }
-}
-
-Value
-TwoBitProtocol::broadcastQuery(Addr a, ProcId requester, RW rw)
-{
-    ++counts_.broadcasts;
-    bool found = false;
-    Value data = 0;
-    for (ProcId i = 0; i < cfg_.numProcs; ++i) {
-        if (i == requester)
-            continue;
-        ++counts_.broadcastCmds;
-        ++counts_.netMessages;
-        CacheLine *l = caches_[i].lookup(a, false);
-        const bool owner = l && l->dirty();
-        deliverCmd(i, owner, snoopSteals(i, a));
-        if (!owner)
-            continue;
-        DIR2B_ASSERT(!found, "two owners of PresentM block ", a);
-        found = true;
-        data = l->value;
-        ++counts_.purges;
-        // put(b_i, a) back to the controller...
-        ++counts_.dataTransfers;
-        ++counts_.netMessages;
-        // ...which writes memory back (both for read and write misses;
-        // §3.2.2 case 2 and §3.2.3 case 3).
-        mem_.write(a, data);
-        ++counts_.memWrites;
-        ++counts_.writebacks;
-        if (rw == RW::Read) {
-            // Owner resets its modified bit and keeps a clean copy.
-            l->state = LineState::Shared;
-        } else {
-            // Owner resets its valid bit.
-            dropLine(i, a);
-            ++counts_.invalidations;
-        }
-    }
-    DIR2B_ASSERT(found, "BROADQUERY(", a,
-                 ") found no owner: directory/cache disagreement");
-    return data;
-}
+{}
 
 void
 TwoBitProtocol::sendRemoteInvalidate(Addr a, ProcId except)
 {
-    broadcastInvalidate(a, except);
+    broadcastInvalidate(a, except, cfg_.snoopFilter);
 }
 
 Value
 TwoBitProtocol::sendRemoteQuery(Addr a, ProcId requester, RW rw)
 {
-    return broadcastQuery(a, requester, rw);
+    return broadcastQuery(a, requester, rw, cfg_.snoopFilter);
 }
 
 void
 TwoBitProtocol::replaceVictim(ProcId k, Addr a)
 {
-    CacheLine &victim = caches_[k].victimFor(a);
+    CacheLine &victim = caches_.victimFor(k, a);
     if (!victim.valid())
         return;
 
@@ -158,17 +66,17 @@ TwoBitProtocol::replaceVictim(ProcId k, Addr a)
                          " but directory says ", toString(st));
         }
     }
-    dropLine(k, olda);
+    caches_.invalidate(k, olda);
     noteEject(k, olda, toAbsent);
 }
 
 void
 TwoBitProtocol::flushCache(ProcId k)
 {
-    // Collect first: dropLine mutates the array under iteration.
+    // Collect first: invalidation mutates the array under iteration.
     std::vector<CacheLine> lines;
-    caches_[k].forEachValid(
-        [&](const CacheLine &l) { lines.push_back(l); });
+    caches_.forEachValid(
+        k, [&](const CacheLine &l) { lines.push_back(l); });
 
     for (const CacheLine &l : lines) {
         TwoBitDirectory &dir = dirFor(l.addr);
@@ -189,7 +97,7 @@ TwoBitProtocol::flushCache(ProcId k)
             ++counts_.setstates;
             toAbsent = true;
         }
-        dropLine(k, l.addr);
+        caches_.invalidate(k, l.addr);
         noteEject(k, l.addr, toAbsent);
     }
 }
@@ -197,10 +105,9 @@ TwoBitProtocol::flushCache(ProcId k)
 Value
 TwoBitProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheArray &c = caches_[k];
     TwoBitDirectory &dir = dirFor(a);
 
-    if (CacheLine *l = c.lookup(a)) {
+    if (CacheLine *l = caches_.lookup(k, a)) {
         if (!write) {
             ++counts_.readHits;
             return l->value;
@@ -274,7 +181,7 @@ TwoBitProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         // get(k, a)
         ++counts_.dataTransfers;
         ++counts_.netMessages;
-        fillLine(k, a, LineState::Shared, v);
+        caches_.fill(k, a, LineState::Shared, v);
         noteFill(k, a, st, false);
         return v;
     }
@@ -300,7 +207,7 @@ TwoBitProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     // get(k, a)
     ++counts_.dataTransfers;
     ++counts_.netMessages;
-    fillLine(k, a, LineState::Modified, wval);
+    caches_.fill(k, a, LineState::Modified, wval);
     noteFill(k, a, st, true);
     return wval;
 }
@@ -312,7 +219,7 @@ TwoBitProtocol::checkInvariants() const
     // be consistent with the holder set and dirtiness.
     std::unordered_map<Addr, std::pair<unsigned, unsigned>> seen;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             auto &[copies, dirty] = seen[l.addr];
             ++copies;
             if (l.dirty())

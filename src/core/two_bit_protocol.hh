@@ -47,7 +47,6 @@
 
 #include <vector>
 
-#include "cache/snoop_filter.hh"
 #include "core/two_bit_directory.hh"
 #include "net/message.hh"
 #include "proto/protocol.hh"
@@ -126,42 +125,11 @@ class TwoBitProtocol : public Protocol
         return dirs_[addrMap_.home(a)];
     }
 
-    /** BROADINV(a,except): deliveries, invalidations, accounting. */
-    void broadcastInvalidate(Addr a, ProcId except);
-
-    /**
-     * BROADQUERY(a,rw): deliveries to the n-1 caches other than the
-     * requester; the owner responds with its dirty data, which is
-     * written back; rw selects downgrade (read) vs invalidate (write).
-     * @return the owner's data.
-     */
-    Value broadcastQuery(Addr a, ProcId requester, RW rw);
-
     /** §3.2.1 replacement of the victim frame block a would use. */
     void replaceVictim(ProcId k, Addr a);
 
-    /** Fill cache k with block a, keeping the duplicate tag directory
-     *  (snoop filter) of §4.4 enhancement (a) in sync. */
-    void fillLine(ProcId k, Addr a, LineState st, Value v);
-
-    /** Invalidate block a in cache k, keeping the duplicate tag
-     *  directory in sync.  @return true if a copy was dropped. */
-    bool dropLine(ProcId k, Addr a);
-
-    /** Whether a broadcast delivery at cache i costs a cycle: with the
-     *  duplicate directory enabled, only checks that find the block
-     *  forward to the cache proper. */
-    bool snoopSteals(ProcId i, Addr a);
-
-    /** Duplicate-directory mirrors (empty when disabled). */
-    const std::vector<SnoopFilter> &snoopFilters() const
-    {
-        return snoops_;
-    }
-
   private:
     std::vector<TwoBitDirectory> dirs_;
-    std::vector<SnoopFilter> snoops_;
 };
 
 } // namespace dir2b

@@ -33,11 +33,11 @@ TwoBitTbProtocol::sendRemoteInvalidate(Addr a, ProcId except)
     auto holders = tbFor(a).lookup(a);
     if (!holders) {
         ++counts_.tbMisses;
-        broadcastInvalidate(a, except);
+        broadcastInvalidate(a, except, cfg_.snoopFilter);
         // The broadcast left exactly the requester holding the block
         // (or nobody, on a write miss): the set is exact again.
         std::vector<ProcId> fresh;
-        if (caches_[except].peek(a))
+        if (caches_.holds(except, a))
             fresh.push_back(except);
         tbFor(a).installExact(a, std::move(fresh));
         return;
@@ -51,7 +51,7 @@ TwoBitTbProtocol::sendRemoteInvalidate(Addr a, ProcId except)
         ++counts_.directedCmds;
         ++counts_.netMessages;
         deliverCmd(p, true);
-        const bool had = dropLine(p, a);
+        const bool had = caches_.invalidate(p, a);
         DIR2B_ASSERT(had, "translation buffer listed cache ", p,
                      " for block ", a, " but it holds no copy");
         ++counts_.invalidations;
@@ -70,14 +70,12 @@ TwoBitTbProtocol::sendRemoteQuery(Addr a, ProcId requester, RW rw)
     auto holders = tbFor(a).lookup(a);
     if (!holders) {
         ++counts_.tbMisses;
-        const Value v = broadcastQuery(a, requester, rw);
+        const Value v = broadcastQuery(a, requester, rw, cfg_.snoopFilter);
         // After the query the holder set is exact: the old owner kept
         // a clean copy on a read query, or vanished on a write query.
         std::vector<ProcId> fresh;
-        for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-            if (p != requester && caches_[p].peek(a))
-                fresh.push_back(p);
-        }
+        caches_.forEachHolder(a, requester,
+                              [&](ProcId p) { fresh.push_back(p); });
         tbFor(a).installExact(a, std::move(fresh));
         return v;
     }
@@ -87,7 +85,7 @@ TwoBitTbProtocol::sendRemoteQuery(Addr a, ProcId requester, RW rw)
                  "PresentM block ", a, " has a TB entry with ",
                  holders->size(), " holders");
     const ProcId owner = holders->front();
-    CacheLine *l = caches_[owner].lookup(a, false);
+    CacheLine *l = caches_.lookup(owner, a, false);
     DIR2B_ASSERT(l && l->dirty(), "TB owner of ", a,
                  " has no dirty copy");
 
@@ -109,7 +107,7 @@ TwoBitTbProtocol::sendRemoteQuery(Addr a, ProcId requester, RW rw)
         l->state = LineState::Shared;
         fresh.push_back(owner);
     } else {
-        dropLine(owner, a);
+        caches_.invalidate(owner, a);
         ++counts_.invalidations;
     }
     tbFor(a).installExact(a, std::move(fresh));

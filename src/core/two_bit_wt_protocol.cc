@@ -11,27 +11,9 @@ TwoBitWtProtocol::TwoBitWtProtocol(const ProtoConfig &cfg)
 {}
 
 void
-TwoBitWtProtocol::broadcastInvalidate(Addr a, ProcId except)
-{
-    ++counts_.broadcasts;
-    for (ProcId i = 0; i < cfg_.numProcs; ++i) {
-        if (i == except)
-            continue;
-        ++counts_.broadcastCmds;
-        ++counts_.netMessages;
-        CacheLine *l = caches_[i].lookup(a, false);
-        deliverCmd(i, l != nullptr);
-        if (l) {
-            caches_[i].invalidate(a);
-            ++counts_.invalidations;
-        }
-    }
-}
-
-void
 TwoBitWtProtocol::replaceVictim(ProcId k, Addr a)
 {
-    CacheLine &victim = caches_[k].victimFor(a);
+    CacheLine &victim = caches_.victimFor(k, a);
     if (!victim.valid())
         return;
     DIR2B_ASSERT(!victim.dirty(),
@@ -44,17 +26,16 @@ TwoBitWtProtocol::replaceVictim(ProcId k, Addr a)
         dir.set(olda, GlobalState::Absent);
         ++counts_.setstates;
     }
-    caches_[k].invalidate(olda);
+    caches_.invalidate(k, olda);
 }
 
 Value
 TwoBitWtProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheArray &c = caches_[k];
     TwoBitDirectory &dir = dirFor(a);
 
     if (!write) {
-        if (CacheLine *l = c.lookup(a)) {
+        if (CacheLine *l = caches_.lookup(k, a)) {
             ++counts_.readHits;
             return l->value;
         }
@@ -73,12 +54,12 @@ TwoBitWtProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         ++counts_.setstates;
         ++counts_.dataTransfers;
         ++counts_.netMessages;
-        c.fill(a, LineState::Shared, v);
+        caches_.fill(k, a, LineState::Shared, v);
         return v;
     }
 
     // Store: always through to memory; the map filters the broadcast.
-    CacheLine *l = c.lookup(a);
+    CacheLine *l = caches_.lookup(k, a);
     const GlobalState st = dir.get(a);
     DIR2B_ASSERT(st != GlobalState::PresentM,
                  "PresentM under write-through");
@@ -119,8 +100,8 @@ void
 TwoBitWtProtocol::flushCache(ProcId k)
 {
     std::vector<Addr> addrs;
-    caches_[k].forEachValid(
-        [&](const CacheLine &l) { addrs.push_back(l.addr); });
+    caches_.forEachValid(
+        k, [&](const CacheLine &l) { addrs.push_back(l.addr); });
     for (const Addr a : addrs) {
         TwoBitDirectory &dir = dirFor(a);
         ++counts_.ejects;
@@ -129,7 +110,7 @@ TwoBitWtProtocol::flushCache(ProcId k)
             dir.set(a, GlobalState::Absent);
             ++counts_.setstates;
         }
-        caches_[k].invalidate(a);
+        caches_.invalidate(k, a);
     }
 }
 
@@ -138,7 +119,7 @@ TwoBitWtProtocol::checkInvariants() const
 {
     std::unordered_map<Addr, unsigned> copies;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             DIR2B_ASSERT(!l.dirty(),
                          "dirty line in write-through cache ", p);
             DIR2B_ASSERT(l.value == mem_.peek(l.addr),

@@ -75,9 +75,6 @@ class TwoBitWtProtocol : public Protocol
         return dirs_[addrMap_.home(a)];
     }
 
-    /** BROADINV(a, except) with §4.2-style useless accounting. */
-    void broadcastInvalidate(Addr a, ProcId except);
-
     /** Clean eviction bookkeeping (there are no dirty lines). */
     void replaceVictim(ProcId k, Addr a);
 

@@ -25,43 +25,42 @@ ClassicalProtocol::biasAbsorbed() const
 Value
 ClassicalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheArray &c = caches_[k];
     bias_[k].onLocalReference(a);
 
     if (!write) {
-        if (CacheLine *l = c.lookup(a)) {
+        if (CacheLine *l = caches_.lookup(k, a)) {
             ++counts_.readHits;
             return l->value;
         }
         ++counts_.readMisses;
         // Memory is always current; evictions are silent (clean).
-        CacheLine &victim = c.victimFor(a);
+        CacheLine &victim = caches_.victimFor(k, a);
         if (victim.valid()) {
             DIR2B_ASSERT(!victim.dirty(),
                          "write-through cache holds a dirty line");
-            c.invalidate(victim.addr);
+            caches_.invalidate(k, victim.addr);
         }
         const Value v = mem_.read(a);
         ++counts_.memReads;
         ++counts_.dataTransfers;
         ++counts_.netMessages;
-        c.fill(a, LineState::Shared, v);
+        caches_.fill(k, a, LineState::Shared, v);
         return v;
     }
 
     // Store: write through to memory and broadcast the invalidation
     // address on the cache invalidation line.
-    CacheLine *l = c.lookup(a);
+    CacheLine *l = caches_.lookup(k, a);
     if (l) {
         ++counts_.writeHits;
         l->value = wval;
     } else {
         ++counts_.writeMisses;
         if (cfg_.writeAllocate) {
-            CacheLine &victim = c.victimFor(a);
+            CacheLine &victim = caches_.victimFor(k, a);
             if (victim.valid())
-                c.invalidate(victim.addr);
-            c.fill(a, LineState::Shared, wval);
+                caches_.invalidate(k, victim.addr);
+            caches_.fill(k, a, LineState::Shared, wval);
             ++counts_.dataTransfers;
             ++counts_.netMessages;
         }
@@ -84,15 +83,15 @@ ClassicalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
             // Absorbed: the block was already invalidated and not
             // re-referenced since; no cache directory cycle.
             ++counts_.filteredCmds;
-            DIR2B_ASSERT(!caches_[i].peek(a),
+            DIR2B_ASSERT(!caches_.peek(i, a),
                          "BIAS filter absorbed an invalidation for a "
                          "resident block");
             continue;
         }
-        CacheLine *remote = caches_[i].lookup(a, false);
+        CacheLine *remote = caches_.lookup(i, a, false);
         deliverCmd(i, remote != nullptr);
         if (remote) {
-            caches_[i].invalidate(a);
+            caches_.invalidate(i, a);
             ++counts_.invalidations;
         }
     }
@@ -105,7 +104,7 @@ ClassicalProtocol::checkInvariants() const
     // Write-through: no cache may ever hold a dirty line, and every
     // cached copy must equal memory.
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             DIR2B_ASSERT(!l.dirty(), "dirty line in write-through cache ",
                          p);
             DIR2B_ASSERT(l.value == mem_.peek(l.addr),

@@ -40,7 +40,7 @@ FullMapProtocol::invalidateHolders(Addr a, FullMapEntry &e, ProcId except)
         ++counts_.directedCmds;
         ++counts_.netMessages;
         deliverCmd(p, true);
-        const bool had = caches_[p].invalidate(a);
+        const bool had = caches_.invalidate(p, a);
         DIR2B_ASSERT(had, "full map sent INVALIDATE(", a, ",", p,
                      ") to a cache without a copy");
         ++counts_.invalidations;
@@ -55,7 +55,7 @@ FullMapProtocol::purgeOwner(Addr a, FullMapEntry &e, RW rw)
     DIR2B_ASSERT(e.modified && e.present.count() == 1,
                  "purgeOwner on a block that is not PresentM");
     const auto owner = static_cast<ProcId>(e.present.findFirst());
-    CacheLine *l = caches_[owner].lookup(a, false);
+    CacheLine *l = caches_.lookup(owner, a, false);
     DIR2B_ASSERT(l && l->dirty(), "full map owner of ", a,
                  " has no dirty copy");
 
@@ -76,7 +76,7 @@ FullMapProtocol::purgeOwner(Addr a, FullMapEntry &e, RW rw)
     if (rw == RW::Read) {
         l->state = LineState::Shared;
     } else {
-        caches_[owner].invalidate(a);
+        caches_.invalidate(owner, a);
         ++counts_.invalidations;
         e.present.reset(owner);
     }
@@ -88,7 +88,7 @@ FullMapProtocol::purgeOwner(Addr a, FullMapEntry &e, RW rw)
 void
 FullMapProtocol::replaceVictim(ProcId k, Addr a)
 {
-    CacheLine &victim = caches_[k].victimFor(a);
+    CacheLine &victim = caches_.victimFor(k, a);
     if (!victim.valid())
         return;
 
@@ -111,7 +111,7 @@ FullMapProtocol::replaceVictim(ProcId k, Addr a)
     }
     e.present.reset(k);
     ++counts_.setstates;
-    caches_[k].invalidate(olda);
+    caches_.invalidate(k, olda);
     onCacheChange(k);
 }
 
@@ -119,8 +119,8 @@ void
 FullMapProtocol::flushCache(ProcId k)
 {
     std::vector<CacheLine> lines;
-    caches_[k].forEachValid(
-        [&](const CacheLine &l) { lines.push_back(l); });
+    caches_.forEachValid(
+        k, [&](const CacheLine &l) { lines.push_back(l); });
 
     for (const CacheLine &l : lines) {
         FullMapEntry &e = entryFor(l.addr);
@@ -136,7 +136,7 @@ FullMapProtocol::flushCache(ProcId k)
         }
         e.present.reset(k);
         ++counts_.setstates;
-        caches_[k].invalidate(l.addr);
+        caches_.invalidate(k, l.addr);
         onCacheChange(k);
     }
 }
@@ -144,9 +144,7 @@ FullMapProtocol::flushCache(ProcId k)
 Value
 FullMapProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheArray &c = caches_[k];
-
-    if (CacheLine *l = c.lookup(a)) {
+    if (CacheLine *l = caches_.lookup(k, a)) {
         if (!write) {
             ++counts_.readHits;
             return l->value;
@@ -198,7 +196,7 @@ FullMapProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         ++counts_.setstates;
         ++counts_.dataTransfers;
         ++counts_.netMessages;
-        c.fill(a, LineState::Shared, v);
+        caches_.fill(k, a, LineState::Shared, v);
         onCacheChange(k);
         return v;
     }
@@ -215,7 +213,7 @@ FullMapProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     ++counts_.setstates;
     ++counts_.dataTransfers;
     ++counts_.netMessages;
-    c.fill(a, LineState::Modified, wval);
+    caches_.fill(k, a, LineState::Modified, wval);
     onCacheChange(k);
     return wval;
 }
@@ -229,7 +227,7 @@ FullMapProtocol::checkInvariants() const
         std::size_t copies = 0;
         for (std::size_t i = e.present.findFirst(); i < e.present.size();
              i = e.present.findNext(i)) {
-            const CacheLine *l = caches_[i].peek(a);
+            const CacheLine *l = caches_.peek(i, a);
             DIR2B_ASSERT(l, "presence bit set for cache ", i, " block ",
                          a, " but no copy exists");
             DIR2B_ASSERT(l->dirty() == (e.modified),
@@ -244,7 +242,7 @@ FullMapProtocol::checkInvariants() const
     }
     // Caches -> directory: every valid line must be mapped.
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             auto it = map_.find(l.addr);
             DIR2B_ASSERT(it != map_.end() && it->second.present.test(p),
                          "cache ", p, " holds ", l.addr,

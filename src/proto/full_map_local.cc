@@ -21,7 +21,7 @@ FullMapLocalProtocol::querySoleHolder(Addr a, LocalMapEntry &e, RW rw)
     DIR2B_ASSERT(e.present.count() == 1, "querySoleHolder with ",
                  e.present.count(), " holders");
     const auto owner = static_cast<ProcId>(e.present.findFirst());
-    CacheLine *l = caches_[owner].lookup(a, false);
+    CacheLine *l = caches_.lookup(owner, a, false);
     DIR2B_ASSERT(l, "sole holder of ", a, " has no copy");
 
     // Directed query; always useful (a real copy is there).
@@ -48,7 +48,7 @@ FullMapLocalProtocol::querySoleHolder(Addr a, LocalMapEntry &e, RW rw)
     if (rw == RW::Read) {
         l->state = LineState::Shared;
     } else {
-        caches_[owner].invalidate(a);
+        caches_.invalidate(owner, a);
         ++counts_.invalidations;
         e.present.reset(owner);
     }
@@ -67,7 +67,7 @@ FullMapLocalProtocol::invalidateHolders(Addr a, LocalMapEntry &e,
         ++counts_.directedCmds;
         ++counts_.netMessages;
         deliverCmd(p, true);
-        const bool had = caches_[p].invalidate(a);
+        const bool had = caches_.invalidate(p, a);
         DIR2B_ASSERT(had, "INVALIDATE(", a, ",", p,
                      ") sent to a cache without a copy");
         ++counts_.invalidations;
@@ -78,7 +78,7 @@ FullMapLocalProtocol::invalidateHolders(Addr a, LocalMapEntry &e,
 void
 FullMapLocalProtocol::replaceVictim(ProcId k, Addr a)
 {
-    CacheLine &victim = caches_[k].victimFor(a);
+    CacheLine &victim = caches_.victimFor(k, a);
     if (!victim.valid())
         return;
 
@@ -98,15 +98,13 @@ FullMapLocalProtocol::replaceVictim(ProcId k, Addr a)
     }
     e.present.reset(k);
     ++counts_.setstates;
-    caches_[k].invalidate(olda);
+    caches_.invalidate(k, olda);
 }
 
 Value
 FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheArray &c = caches_[k];
-
-    if (CacheLine *l = c.lookup(a)) {
+    if (CacheLine *l = caches_.lookup(k, a)) {
         if (!write) {
             ++counts_.readHits;
             return l->value;
@@ -161,7 +159,7 @@ FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
             ++counts_.setstates;
             ++counts_.dataTransfers;
             ++counts_.netMessages;
-            c.fill(a, LineState::Exclusive, v);
+            caches_.fill(k, a, LineState::Exclusive, v);
             return v;
         }
         if (e.present.count() == 1) {
@@ -175,7 +173,7 @@ FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         ++counts_.setstates;
         ++counts_.dataTransfers;
         ++counts_.netMessages;
-        c.fill(a, LineState::Shared, v);
+        caches_.fill(k, a, LineState::Shared, v);
         // Downgrade any former exclusive holder's local state: the
         // querySoleHolder path already set it Shared; multi-holder
         // blocks are Shared by construction.
@@ -194,7 +192,7 @@ FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     ++counts_.setstates;
     ++counts_.dataTransfers;
     ++counts_.netMessages;
-    c.fill(a, LineState::Modified, wval);
+    caches_.fill(k, a, LineState::Modified, wval);
     return wval;
 }
 
@@ -206,7 +204,7 @@ FullMapLocalProtocol::checkInvariants() const
         std::size_t dirty = 0;
         for (std::size_t i = e.present.findFirst(); i < e.present.size();
              i = e.present.findNext(i)) {
-            const CacheLine *l = caches_[i].peek(a);
+            const CacheLine *l = caches_.peek(i, a);
             DIR2B_ASSERT(l, "presence bit set for cache ", i, " block ",
                          a, " but no copy exists");
             ++copies;
@@ -232,7 +230,7 @@ FullMapLocalProtocol::checkInvariants() const
                          " but caches disagree");
     }
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             auto it = map_.find(l.addr);
             DIR2B_ASSERT(it != map_.end() && it->second.present.test(p),
                          "cache ", p, " holds ", l.addr,

@@ -8,7 +8,7 @@ namespace dir2b
 void
 IllinoisProtocol::replaceVictim(ProcId k, Addr a)
 {
-    CacheLine &victim = caches_[k].victimFor(a);
+    CacheLine &victim = caches_.victimFor(k, a);
     if (!victim.valid())
         return;
     if (victim.dirty()) {
@@ -18,14 +18,13 @@ IllinoisProtocol::replaceVictim(ProcId k, Addr a)
         ++counts_.dataTransfers;
         ++counts_.netMessages;
     }
-    caches_[k].invalidate(victim.addr);
+    caches_.invalidate(k, victim.addr);
 }
 
 Value
 IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheArray &c = caches_[k];
-    CacheLine *l = c.lookup(a);
+    CacheLine *l = caches_.lookup(k, a);
 
     if (!write) {
         if (l) {
@@ -43,7 +42,7 @@ IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         for (ProcId i = 0; i < cfg_.numProcs && !supplied; ++i) {
             if (i == k)
                 continue;
-            CacheLine *r = caches_[i].lookup(a, false);
+            CacheLine *r = caches_.lookup(i, a, false);
             if (!r)
                 continue;
             supplied = true;
@@ -64,7 +63,7 @@ IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         for (ProcId i = 0; i < cfg_.numProcs; ++i) {
             if (i == k)
                 continue;
-            if (CacheLine *r = caches_[i].lookup(a, false)) {
+            if (CacheLine *r = caches_.lookup(i, a, false)) {
                 if (r->state == LineState::Exclusive)
                     r->state = LineState::Shared;
             }
@@ -76,7 +75,7 @@ IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         }
         ++counts_.dataTransfers;
         ++counts_.netMessages;
-        c.fill(a, exclusiveFill ? LineState::Exclusive
+        caches_.fill(k, a, exclusiveFill ? LineState::Exclusive
                                 : LineState::Shared, v);
         return v;
     }
@@ -104,9 +103,9 @@ IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
             for (ProcId i = 0; i < cfg_.numProcs; ++i) {
                 if (i == k)
                     continue;
-                if (caches_[i].peek(a)) {
+                if (caches_.peek(i, a)) {
                     ++counts_.stolenCycles;
-                    caches_[i].invalidate(a);
+                    caches_.invalidate(i, a);
                     ++counts_.invalidations;
                 }
             }
@@ -129,7 +128,7 @@ IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     for (ProcId i = 0; i < cfg_.numProcs; ++i) {
         if (i == k)
             continue;
-        CacheLine *r = caches_[i].lookup(a, false);
+        CacheLine *r = caches_.lookup(i, a, false);
         if (!r)
             continue;
         ++counts_.stolenCycles;
@@ -143,7 +142,7 @@ IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
             // Ownership transfers; no write-back is needed since the
             // requester immediately dirties the block.
         }
-        caches_[i].invalidate(a);
+        caches_.invalidate(i, a);
         ++counts_.invalidations;
     }
     if (!supplied) {
@@ -152,7 +151,7 @@ IllinoisProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     }
     ++counts_.dataTransfers;
     ++counts_.netMessages;
-    c.fill(a, LineState::Modified, wval);
+    caches_.fill(k, a, LineState::Modified, wval);
     return wval;
 }
 
@@ -161,7 +160,7 @@ IllinoisProtocol::checkInvariants() const
 {
     std::unordered_map<Addr, std::pair<unsigned, unsigned>> seen;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             auto &[copies, exclusive] = seen[l.addr];
             ++copies;
             if (l.state == LineState::Modified ||

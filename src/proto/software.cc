@@ -33,7 +33,6 @@ SoftwareProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     }
 
     // Private / read-only blocks: plain uniprocessor write-back cache.
-    CacheArray &c = caches_[k];
 
     // Classification contract: once some processor has written a
     // private block, no *other* processor may touch it (else it was
@@ -52,7 +51,7 @@ SoftwareProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
                     " and read by processor ", k);
     }
 
-    if (CacheLine *l = c.lookup(a)) {
+    if (CacheLine *l = caches_.lookup(k, a)) {
         if (!write) {
             ++counts_.readHits;
             return l->value;
@@ -68,7 +67,7 @@ SoftwareProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     else
         ++counts_.readMisses;
 
-    CacheLine &victim = c.victimFor(a);
+    CacheLine &victim = caches_.victimFor(k, a);
     if (victim.valid()) {
         if (victim.dirty()) {
             mem_.write(victim.addr, victim.value);
@@ -77,14 +76,14 @@ SoftwareProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
             ++counts_.dataTransfers;
             ++counts_.netMessages;
         }
-        c.invalidate(victim.addr);
+        caches_.invalidate(k, victim.addr);
     }
 
     const Value v = mem_.read(a);
     ++counts_.memReads;
     ++counts_.dataTransfers;
     ++counts_.netMessages;
-    c.fill(a, write ? LineState::Modified : LineState::Shared,
+    caches_.fill(k, a, write ? LineState::Modified : LineState::Shared,
            write ? wval : v);
     return write ? wval : v;
 }
@@ -93,7 +92,7 @@ void
 SoftwareProtocol::checkInvariants() const
 {
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             DIR2B_ASSERT(!isPublic(l.addr), "public block ", l.addr,
                          " found cached in cache ", p);
         });

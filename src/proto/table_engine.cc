@@ -212,6 +212,10 @@ TransitionTable::validate() const
                 if (a.arg > maxLineState)
                     rowMsg(i, where + ": unknown line state " +
                                   std::to_string(a.arg));
+                else if (a.arg ==
+                         static_cast<std::uint8_t>(LineState::Invalid))
+                    rowMsg(i, where + ": SetLine(Invalid) — use "
+                                      "DropLine to remove a copy");
                 break;
               case ActionOp::SetDirState:
                 if (a.arg >= nStates) {
@@ -308,31 +312,16 @@ TableProtocol::dirStoreCounters() const
     return c;
 }
 
-std::size_t
-TableProtocol::otherHolders(Addr a, ProcId k) const
-{
-    std::size_t n = 0;
-    for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        if (p == k)
-            continue;
-        const CacheLine *l = caches_[p].peek(a);
-        if (l && l->valid())
-            ++n;
-    }
-    return n;
-}
-
 ProcId
 TableProtocol::remoteOwner(Addr a, ProcId k) const
 {
-    for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        if (p == k)
-            continue;
-        const CacheLine *l = caches_[p].peek(a);
-        if (l && l->valid() && l->state != LineState::Shared)
-            return p;
-    }
-    return invalidProc;
+    ProcId owner = invalidProc;
+    caches_.forEachHolder(a, k, [&](ProcId p) {
+        if (owner == invalidProc &&
+            caches_.peek(p, a)->state != LineState::Shared)
+            owner = p;
+    });
+    return owner;
 }
 
 bool
@@ -342,15 +331,15 @@ TableProtocol::guardHolds(TableGuard g, Addr a, ProcId k) const
       case TableGuard::Always:
         return true;
       case TableGuard::OtherHoldersNone:
-        return otherHolders(a, k) == 0;
+        return caches_.otherHolders(a, k) == 0;
       case TableGuard::OtherHoldersSome:
-        return otherHolders(a, k) > 0;
+        return caches_.otherHolders(a, k) > 0;
       case TableGuard::OwnerDirty:
       case TableGuard::OwnerClean: {
         const ProcId p = remoteOwner(a, k);
         if (p == invalidProc)
             return false;
-        const bool dirty = caches_[p].peek(a)->dirty();
+        const bool dirty = caches_.peek(p, a)->dirty();
         return g == TableGuard::OwnerDirty ? dirty : !dirty;
       }
     }
@@ -385,7 +374,7 @@ EventClass
 TableProtocol::classify(ProcId k, Addr a, bool write, bool touch,
                         CacheLine *&line)
 {
-    line = caches_[k].lookup(a, touch);
+    line = caches_.lookup(k, a, touch);
     if (line) {
         if (!write)
             return EventClass::ReadHit;
@@ -463,7 +452,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
     // Replacement precedes the miss transaction (§3.2.1): the victim
     // runs through the same eviction rows flushCache uses.
     if (ev == EventClass::ReadMiss || ev == EventClass::WriteMiss) {
-        CacheLine &victim = caches_[k].victimFor(a);
+        CacheLine &victim = caches_.victimFor(k, a);
         if (victim.valid())
             evictLine(k, victim);
     }
@@ -529,8 +518,8 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             break;
 
           case ActionOp::FillLine:
-            ctx.line = &caches_[k].fill(
-                ctx.addr, static_cast<LineState>(act.arg),
+            ctx.line = &caches_.fill(
+                k, ctx.addr, static_cast<LineState>(act.arg),
                 ctx.write ? ctx.wval : ctx.data);
             break;
 
@@ -545,7 +534,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             break;
 
           case ActionOp::DropLine:
-            caches_[k].invalidate(ctx.addr);
+            caches_.invalidate(k, ctx.addr);
             ctx.line = nullptr;
             break;
 
@@ -555,80 +544,29 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             ++counts_.setstates;
             break;
 
-          case ActionOp::SendBroadInv: {
-            ++counts_.broadcasts;
-            for (ProcId i = 0; i < cfg_.numProcs; ++i) {
-                if (i == k)
-                    continue;
-                ++counts_.broadcastCmds;
-                ++counts_.netMessages;
-                CacheLine *l = caches_[i].lookup(ctx.addr, false);
-                deliverCmd(i, l != nullptr);
-                if (l) {
-                    DIR2B_ASSERT(!l->dirty(),
-                                 "BROADINV found a dirty copy of ",
-                                 ctx.addr, " in cache ", i,
-                                 " while the directory said clean");
-                    caches_[i].invalidate(ctx.addr);
-                    ++counts_.invalidations;
-                }
-            }
+          case ActionOp::SendBroadInv:
+            broadcastInvalidate(ctx.addr, k);
             break;
-          }
 
           case ActionOp::SendBroadQueryRead:
-          case ActionOp::SendBroadQueryWrite: {
-            const bool isRead = act.op == ActionOp::SendBroadQueryRead;
-            ++counts_.broadcasts;
-            bool found = false;
-            for (ProcId i = 0; i < cfg_.numProcs; ++i) {
-                if (i == k)
-                    continue;
-                ++counts_.broadcastCmds;
-                ++counts_.netMessages;
-                CacheLine *l = caches_[i].lookup(ctx.addr, false);
-                const bool owner = l && l->dirty();
-                deliverCmd(i, owner);
-                if (!owner)
-                    continue;
-                DIR2B_ASSERT(!found, "two owners of modified block ",
-                             ctx.addr);
-                found = true;
-                ctx.data = l->value;
-                ++counts_.purges;
-                ++counts_.dataTransfers;
-                ++counts_.netMessages;
-                mem_.write(ctx.addr, ctx.data);
-                ++counts_.memWrites;
-                ++counts_.writebacks;
-                if (isRead) {
-                    l->state = LineState::Shared;
-                } else {
-                    caches_[i].invalidate(ctx.addr);
-                    ++counts_.invalidations;
-                }
-            }
-            DIR2B_ASSERT(found, "BROADQUERY(", ctx.addr,
-                         ") found no owner: directory/cache "
-                         "disagreement");
+            ctx.data = broadcastQuery(ctx.addr, k, RW::Read);
             break;
-          }
 
-          case ActionOp::SendInvHolders: {
-            for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-                if (p == k)
-                    continue;
-                CacheLine *l = caches_[p].lookup(ctx.addr, false);
-                if (!l || l->dirty())
-                    continue;
+          case ActionOp::SendBroadQueryWrite:
+            ctx.data = broadcastQuery(ctx.addr, k, RW::Write);
+            break;
+
+          case ActionOp::SendInvHolders:
+            caches_.forEachHolder(ctx.addr, k, [&](ProcId p) {
+                if (caches_.peek(p, ctx.addr)->dirty())
+                    return;
                 ++counts_.directedCmds;
                 ++counts_.netMessages;
                 deliverCmd(p, true);
-                caches_[p].invalidate(ctx.addr);
+                caches_.invalidate(p, ctx.addr);
                 ++counts_.invalidations;
-            }
+            });
             break;
-          }
 
           case ActionOp::SendPurgeRead:
           case ActionOp::SendPurgeWrite: {
@@ -636,7 +574,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             const ProcId owner = remoteOwner(ctx.addr, k);
             DIR2B_ASSERT(owner != invalidProc, "PURGE(", ctx.addr,
                          ") found no owner");
-            CacheLine *l = caches_[owner].lookup(ctx.addr, false);
+            CacheLine *l = caches_.lookup(owner, ctx.addr, false);
             DIR2B_ASSERT(l && l->dirty(), "owner of ", ctx.addr,
                          " has no dirty copy");
             ++counts_.directedCmds;
@@ -652,7 +590,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             if (isRead) {
                 l->state = LineState::Shared;
             } else {
-                caches_[owner].invalidate(ctx.addr);
+                caches_.invalidate(owner, ctx.addr);
                 ++counts_.invalidations;
             }
             break;
@@ -662,7 +600,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             const ProcId owner = remoteOwner(ctx.addr, k);
             DIR2B_ASSERT(owner != invalidProc, "downgrade of ",
                          ctx.addr, " found no owner");
-            CacheLine *l = caches_[owner].lookup(ctx.addr, false);
+            CacheLine *l = caches_.lookup(owner, ctx.addr, false);
             ++counts_.directedCmds;
             ++counts_.netMessages;
             deliverCmd(owner, true);
@@ -681,7 +619,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             const ProcId owner = remoteOwner(ctx.addr, k);
             DIR2B_ASSERT(owner != invalidProc, "fetch-inv of ",
                          ctx.addr, " found no owner");
-            CacheLine *l = caches_[owner].lookup(ctx.addr, false);
+            CacheLine *l = caches_.lookup(owner, ctx.addr, false);
             ++counts_.directedCmds;
             ++counts_.netMessages;
             deliverCmd(owner, true);
@@ -690,7 +628,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             ++counts_.cacheTransfers;
             ++counts_.dataTransfers;
             ++counts_.netMessages;
-            caches_[owner].invalidate(ctx.addr);
+            caches_.invalidate(owner, ctx.addr);
             ++counts_.invalidations;
             break;
           }
@@ -730,8 +668,8 @@ TableProtocol::flushCache(ProcId p)
                  "' has no eviction rows: flush unsupported");
     // Collect first: eviction mutates the array under iteration.
     std::vector<CacheLine> lines;
-    caches_[p].forEachValid(
-        [&](const CacheLine &l) { lines.push_back(l); });
+    caches_.forEachValid(
+        p, [&](const CacheLine &l) { lines.push_back(l); });
     for (CacheLine &l : lines)
         evictLine(p, l);
 }
@@ -744,7 +682,7 @@ TableProtocol::checkInvariants() const
     // schemes' directory-vs-cache cross-checks.
     std::unordered_map<Addr, std::pair<std::size_t, std::size_t>> seen;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             auto &[holders, modified] = seen[l.addr];
             ++holders;
             if (l.dirty())

@@ -8,7 +8,7 @@ namespace dir2b
 void
 WriteOnceProtocol::replaceVictim(ProcId k, Addr a)
 {
-    CacheLine &victim = caches_[k].victimFor(a);
+    CacheLine &victim = caches_.victimFor(k, a);
     if (!victim.valid())
         return;
     if (victim.dirty()) {
@@ -19,14 +19,13 @@ WriteOnceProtocol::replaceVictim(ProcId k, Addr a)
         ++counts_.netMessages;
     }
     // Valid and Reserved lines are clean in memory: silent drop.
-    caches_[k].invalidate(victim.addr);
+    caches_.invalidate(k, victim.addr);
 }
 
 Value
 WriteOnceProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheArray &c = caches_[k];
-    CacheLine *l = c.lookup(a);
+    CacheLine *l = caches_.lookup(k, a);
 
     if (!write) {
         if (l) {
@@ -45,7 +44,7 @@ WriteOnceProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         for (ProcId i = 0; i < cfg_.numProcs; ++i) {
             if (i == k)
                 continue;
-            CacheLine *r = caches_[i].lookup(a, false);
+            CacheLine *r = caches_.lookup(i, a, false);
             if (!r)
                 continue;
             if (r->dirty()) {
@@ -73,7 +72,7 @@ WriteOnceProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         }
         ++counts_.dataTransfers;
         ++counts_.netMessages;
-        c.fill(a, LineState::Shared, v);
+        caches_.fill(k, a, LineState::Shared, v);
         return v;
     }
 
@@ -105,9 +104,9 @@ WriteOnceProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
             for (ProcId i = 0; i < cfg_.numProcs; ++i) {
                 if (i == k)
                     continue;
-                if (caches_[i].peek(a)) {
+                if (caches_.peek(i, a)) {
                     ++counts_.stolenCycles;
-                    caches_[i].invalidate(a);
+                    caches_.invalidate(i, a);
                     ++counts_.invalidations;
                 }
             }
@@ -128,7 +127,7 @@ WriteOnceProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     for (ProcId i = 0; i < cfg_.numProcs; ++i) {
         if (i == k)
             continue;
-        CacheLine *r = caches_[i].lookup(a, false);
+        CacheLine *r = caches_.lookup(i, a, false);
         if (!r)
             continue;
         ++counts_.stolenCycles;
@@ -140,7 +139,7 @@ WriteOnceProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
             ++counts_.dataTransfers;
             ++counts_.netMessages;
         }
-        caches_[i].invalidate(a);
+        caches_.invalidate(i, a);
         ++counts_.invalidations;
     }
     if (!supplied) {
@@ -149,7 +148,7 @@ WriteOnceProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     }
     ++counts_.dataTransfers;
     ++counts_.netMessages;
-    c.fill(a, LineState::Modified, wval);
+    caches_.fill(k, a, LineState::Modified, wval);
     return wval;
 }
 
@@ -158,7 +157,7 @@ WriteOnceProtocol::checkInvariants() const
 {
     std::unordered_map<Addr, std::pair<unsigned, unsigned>> seen;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        caches_[p].forEachValid([&](const CacheLine &l) {
+        caches_.forEachValid(p, [&](const CacheLine &l) {
             auto &[copies, owners] = seen[l.addr];
             ++copies;
             if (l.state == LineState::Modified ||

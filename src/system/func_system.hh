@@ -35,7 +35,8 @@ struct RunOptions
     std::uint64_t numRefs = 100000;
     /** Verify every read against the last-writer oracle. */
     bool checkCoherence = true;
-    /** Call Protocol::checkInvariants() every N references (0 = off). */
+    /** Call Protocol::checkInvariants() and the holder-index
+     *  cross-check every N references (0 = off). */
     std::uint64_t invariantEvery = 0;
     /** Sample global-state occupancy every N references (0 = off). */
     std::uint64_t sampleEvery = 0;

@@ -245,6 +245,29 @@ class FlatMap
         size_ = 0;
     }
 
+    /**
+     * Size the table once so that growing to n entries never rehashes
+     * (and so never allocates or moves an entry).  Never shrinks.
+     */
+    void
+    reserve(std::size_t n)
+    {
+        std::size_t cap = minCapacity;
+        while (n * 4 > cap * 3)
+            cap *= 2;
+        if (!slots_ || cap > mask_ + 1)
+            rehash(cap);
+    }
+
+    /** Hint that key will be looked up, inserted or erased soon:
+     *  start loading its home slot into the cache. */
+    void
+    prefetch(K key) const
+    {
+        if (slots_)
+            __builtin_prefetch(&slots_[probeStart(key)]);
+    }
+
     /** Bytes of slot storage currently allocated (capacity metric). */
     std::size_t
     capacityBytes() const

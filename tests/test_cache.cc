@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "cache/cache_array.hh"
+#include "cache/cache_bank.hh"
+#include "util/random.hh"
 
 namespace dir2b
 {
@@ -163,6 +166,89 @@ TEST(CacheArray, GeometryBlocksProduct)
 {
     CacheGeometry g = geom(32, 4);
     EXPECT_EQ(g.blocks(), 128u);
+}
+
+TEST(CacheBank, IndexFollowsFillsAndInvalidations)
+{
+    CacheBank bank(130, geom(4, 2));
+    EXPECT_TRUE(bank.holders(9).empty());
+
+    bank.fill(3, 9, LineState::Modified, 1);
+    EXPECT_EQ(bank.holders(9), std::vector<ProcId>{3});
+    EXPECT_TRUE(bank.holds(3, 9));
+    EXPECT_FALSE(bank.holds(4, 9));
+    EXPECT_EQ(bank.otherHolders(9, 3), 0u);
+    EXPECT_EQ(bank.otherHolders(9, invalidProc), 1u);
+
+    // An upgrade fill keeps a single holder.
+    bank.fill(3, 9, LineState::Shared, 2);
+    EXPECT_EQ(bank.holders(9), std::vector<ProcId>{3});
+
+    // Holders on both sides of the 64- and 128-proc word boundaries.
+    for (const ProcId p : {129u, 64u, 63u, 0u, 128u})
+        bank.fill(p, 9, LineState::Shared, 2);
+    EXPECT_EQ(bank.holders(9),
+              (std::vector<ProcId>{0, 3, 63, 64, 128, 129}));
+    EXPECT_EQ(bank.otherHolders(9, 64), 5u);
+    EXPECT_EQ(bank.otherHolders(9, 65), 6u);
+    std::vector<ProcId> walked;
+    bank.forEachHolder(9, 63, [&](ProcId p) { walked.push_back(p); });
+    EXPECT_EQ(walked, (std::vector<ProcId>{0, 3, 64, 128, 129}));
+    bank.checkIndex();
+
+    // A walk may drop each visited copy.
+    bank.forEachHolder(9, 3, [&](ProcId p) { bank.invalidate(p, 9); });
+    EXPECT_EQ(bank.holders(9), std::vector<ProcId>{3});
+    EXPECT_TRUE(bank.invalidate(3, 9));
+    EXPECT_FALSE(bank.invalidate(3, 9));
+    EXPECT_TRUE(bank.holders(9).empty());
+    bank.checkIndex();
+}
+
+TEST(CacheBank, IndexMatchesScanUnderRandomChurn)
+{
+    // Small caches and few blocks force evictions, slot reuse and
+    // blocks moving between one and many holders.
+    constexpr ProcId n = 70;
+    CacheBank bank(n, geom(2, 2));
+    Rng rng(11);
+    for (int step = 0; step < 20000; ++step) {
+        const auto p = static_cast<ProcId>(rng.range(n));
+        const Addr a = rng.range(12);
+        if (rng.chance(0.3)) {
+            bank.invalidate(p, a);
+        } else if (!bank.peek(p, a)) {
+            CacheLine &victim = bank.victimFor(p, a);
+            if (victim.valid())
+                bank.invalidate(p, victim.addr);
+            bank.fill(p, a, LineState::Shared, 0);
+        }
+        std::vector<ProcId> want;
+        for (ProcId q = 0; q < n; ++q) {
+            if (bank.peek(q, a))
+                want.push_back(q);
+        }
+        ASSERT_EQ(bank.holders(a), want) << "step " << step;
+        if (step % 500 == 0)
+            bank.checkIndex();
+    }
+    bank.checkIndex();
+}
+
+using CacheBankDeathTest = ::testing::Test;
+
+// The planted bug: a fill that reaches an array without going through
+// the bank leaves the index stale, and the cross-check must say so.
+TEST(CacheBankDeathTest, FillBypassingTheIndexIsCaught)
+{
+    CacheBank bank(4, geom(4, 2));
+    bank.fill(0, 5, LineState::Shared, 1);
+    bank.checkIndex();
+    auto &raw = const_cast<CacheArray &>(bank.array(2));
+    raw.fill(5, LineState::Shared, 1);
+    EXPECT_DEATH(bank.checkIndex(), "holder index of block 5");
+    raw.fill(6, LineState::Shared, 1);
+    EXPECT_DEATH(bank.checkIndex(), "holder index lists 1 blocks");
 }
 
 TEST(ReplacementPolicy, ParseNames)

@@ -158,6 +158,40 @@ TEST(FlatMap, ClearAndReuse)
     EXPECT_EQ(m.size(), 1u);
 }
 
+TEST(FlatMap, ReserveMeansNoRehash)
+{
+    constexpr std::uint64_t n = 1000;
+    FlatMap<std::uint64_t, std::uint32_t> m;
+    m.reserve(n);
+    const std::size_t cap = m.capacityBytes();
+    EXPECT_GT(cap, 0u);
+
+    // A rehash would move every entry: the first entry's address
+    // staying put proves none happened while filling to n.
+    m[0] = 0;
+    const std::uint32_t *first = &m.find(0)->second;
+    for (std::uint64_t k = 1; k < n; ++k)
+        m[k] = static_cast<std::uint32_t>(k);
+    EXPECT_EQ(m.size(), n);
+    EXPECT_EQ(m.capacityBytes(), cap);
+    EXPECT_EQ(&m.find(0)->second, first);
+
+    // Steady-state churn at full size never grows the table either.
+    Rng rng(7);
+    std::uint64_t next = n;
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t victim = next - n + rng.range(n);
+        if (m.erase(victim))
+            m[next++] = 1;
+        ASSERT_LE(m.size(), n);
+    }
+    EXPECT_EQ(m.capacityBytes(), cap);
+
+    // A smaller reserve never shrinks.
+    m.reserve(10);
+    EXPECT_EQ(m.capacityBytes(), cap);
+}
+
 TEST(FlatSet, InsertEraseContains)
 {
     FlatSet<std::uint64_t> s;
