@@ -148,6 +148,13 @@ TEST(TableValidate, ActionVocabularyViolationsRejected)
                                  LineState::Invalid))};
     EXPECT_TRUE(rejectsWith(u, "FillLine(Invalid)"));
 
+    // Only DropLine may remove a copy: the holder index sees it.
+    TransitionTable s = tinyTable();
+    s.rows[0].actions = {act(ActionOp::SetLine,
+                             static_cast<std::uint8_t>(
+                                 LineState::Invalid))};
+    EXPECT_TRUE(rejectsWith(s, "SetLine(Invalid)"));
+
     TransitionTable v = tinyTable();
     v.rows[3].actions = {act(ActionOp::FillLine, 42)};
     EXPECT_TRUE(rejectsWith(v, "unknown line state 42"));
