@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "timed/timed_system.hh"
@@ -155,12 +157,17 @@ TEST(YfTimed, ConcurrentUpgradeRaceSerialises)
               1u);
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and
+// that dump becomes part of the ctest test name.  perBlock is four
+// bytes wide so the struct has no padding: a bool would leave three
+// uninitialised bytes whose contents change from run to run.
 struct YfParam
 {
-    bool perBlock;
+    std::uint32_t perBlock;
     NetKind net;
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<YfParam>);
 
 class YfProperty : public ::testing::TestWithParam<YfParam>
 {
@@ -171,7 +178,7 @@ TEST_P(YfProperty, RandomTrafficStaysCoherent)
     const auto prm = GetParam();
     TimedConfig cfg = config(4, 4, 2);
     cfg.numModules = 3;
-    cfg.perBlockConcurrency = prm.perBlock;
+    cfg.perBlockConcurrency = prm.perBlock != 0;
     cfg.network = prm.net;
     TimedSystem sys(cfg);
 
