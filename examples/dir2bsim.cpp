@@ -139,10 +139,12 @@ usage(const char *argv0)
         "  --progress          live progress line on stderr (refs/s,\n"
         "                      ETA, interval rates); implies sampling\n"
         "  --sweep-procs LIST  run once per comma-separated processor\n"
-        "                      count (e.g. 2,4,8), cells in parallel\n"
+        "                      count (e.g. 2,4,8), cells in parallel;\n"
+        "                      not with --timed\n"
         "  --threads N         sweep-pool width (default: the\n"
         "                      DIR2B_THREADS env var, else all cores)\n"
-        "  --no-oracle         skip coherence checking (faster)\n"
+        "  --no-oracle         skip coherence checking (faster); not\n"
+        "                      with --timed, which always checks\n"
         "  --analyze           print trace statistics, don't simulate\n"
         "  --invariants        deep-check structures every 1k refs\n"
         "  --timed             run the discrete-event tier instead\n"
@@ -725,8 +727,15 @@ main(int argc, char **argv)
     if (!o.traceOutPath.empty())
         return recordBinary(o);
 
-    if (o.timed)
+    if (o.timed) {
+        if (o.noOracle)
+            DIR2B_FATAL("--no-oracle does not apply to --timed: the "
+                        "timed tier always checks coherence");
+        if (!o.sweepProcs.empty())
+            DIR2B_FATAL("--sweep-procs does not apply to --timed: a "
+                        "timed run has one processor count (--procs)");
         return runTimed(o);
+    }
 
     if (!o.sweepProcs.empty()) {
         if (!o.traceInPath.empty())

@@ -6,8 +6,9 @@ namespace dir2b
 {
 
 TwoBitCacheCtrl::TwoBitCacheCtrl(ProcId id, const TimedConfig &cfg,
-                                 EventQueue &eq, TimedNetwork &net)
-    : id_(id), cfg_(cfg), eq_(eq), net_(net), cache_([&] {
+                                 EventQueue &eq, TimedNetwork &net,
+                                 CompletionSink &sink)
+    : id_(id), cfg_(cfg), eq_(eq), net_(net), sink_(sink), cache_([&] {
           CacheGeometry g = cfg.cacheGeom;
           g.seed = g.seed * 0x9e3779b9ULL + id + 1;
           return g;
@@ -54,20 +55,21 @@ TwoBitCacheCtrl::complete(Value v)
     DIR2B_ASSERT(txn_, "completing with no transaction");
     DIR2B_TRC(trc_, end(eq_.now(), trk_, txn_->op));
     stats_.latency.sample(eq_.now() - txn_->start);
-    Done done = std::move(txn_->done);
+    DIR2B_ASSERT(!txn_->ref.write || v == txn_->wval,
+                 "write completion value mismatch");
+    const MemRef ref = txn_->ref;
     txn_.reset();
-    done(v);
+    sink_.onComplete(ref, v);
 }
 
 void
-TwoBitCacheCtrl::processorRequest(const MemRef &ref, Value wval,
-                                  Done done)
+TwoBitCacheCtrl::processorRequest(const MemRef &ref, Value wval)
 {
     DIR2B_DEBUG("t=", eq_.now(), " C", id_, " proc ", toString(ref));
     DIR2B_ASSERT(!txn_, "cache ", id_, " already has an outstanding "
                  "transaction");
     DIR2B_ASSERT(ref.proc == id_, "reference routed to wrong cache");
-    txn_ = Txn{Phase::AwaitData, ref, wval, std::move(done), eq_.now()};
+    txn_ = Txn{Phase::AwaitData, ref, wval, eq_.now()};
 
     CacheLine *l = cache_.lookup(ref.addr);
     if (l) {

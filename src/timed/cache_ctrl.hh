@@ -55,21 +55,35 @@ struct CacheCtrlStats
     Histogram dataWait{2, 64};  ///< REQUEST -> get(data)
 };
 
+/**
+ * Receiver of processor-visible completions: the system that owns the
+ * controllers (it checks the value and issues the next reference).
+ * One fixed hook instead of a callable per transaction keeps the
+ * per-reference path free of heap allocation.
+ */
+class CompletionSink
+{
+  public:
+    /** ref completed with value v (the stored value for a write). */
+    virtual void onComplete(const MemRef &ref, Value v) = 0;
+
+  protected:
+    ~CompletionSink() = default;
+};
+
 /** Timed two-bit cache controller. */
 class TwoBitCacheCtrl
 {
   public:
-    using Done = std::function<void(Value)>;
-
     TwoBitCacheCtrl(ProcId id, const TimedConfig &cfg, EventQueue &eq,
-                    TimedNetwork &net);
+                    TimedNetwork &net, CompletionSink &sink);
 
     /**
-     * Begin one LOAD/STORE.  Exactly one may be outstanding; the done
-     * callback fires with the read (or stored) value when the
+     * Begin one LOAD/STORE.  Exactly one may be outstanding; the sink
+     * hears of it with the read (or stored) value when the
      * transaction completes.
      */
-    void processorRequest(const MemRef &ref, Value wval, Done done);
+    void processorRequest(const MemRef &ref, Value wval);
 
     virtual ~TwoBitCacheCtrl() = default;
 
@@ -99,7 +113,6 @@ class TwoBitCacheCtrl
         Phase phase;
         MemRef ref;
         Value wval;
-        Done done;
         Tick start;
         /** Trace span label for the whole transaction (literal). */
         const char *op = nullptr;
@@ -144,6 +157,7 @@ class TwoBitCacheCtrl
     const TimedConfig &cfg_;
     EventQueue &eq_;
     TimedNetwork &net_;
+    CompletionSink &sink_;
     CacheArray cache_;
     std::optional<SnoopFilter> snoop_;
     std::optional<Txn> txn_;

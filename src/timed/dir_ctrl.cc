@@ -1,7 +1,5 @@
 #include "timed/dir_ctrl.hh"
 
-#include <vector>
-
 #include "util/logging.hh"
 
 namespace dir2b
@@ -38,6 +36,17 @@ TwoBitDirCtrl::finishRequest(ProcId k, Addr a, RW rw, Value data,
     supplyData(k, a, data, writeBack);
 }
 
+const std::vector<unsigned> &
+TwoBitDirCtrl::procsExcept(ProcId k)
+{
+    dsts_.clear();
+    for (ProcId p = 0; p < cfg_.numProcs; ++p) {
+        if (p != k)
+            dsts_.push_back(p);
+    }
+    return dsts_;
+}
+
 void
 TwoBitDirCtrl::onPutResolved(Addr a, ProcId requester, RW rw,
                              const Message &answer)
@@ -54,7 +63,7 @@ TwoBitDirCtrl::onPutResolved(Addr a, ProcId requester, RW rw,
 
 void
 TwoBitDirCtrl::broadcastInvalidate(Addr a, ProcId except,
-                                   std::function<void()> onAcked)
+                                   AckAction onAcked)
 {
     ++stats_.broadInvs;
 
@@ -68,12 +77,7 @@ TwoBitDirCtrl::broadcastInvalidate(Addr a, ProcId except,
     inv.kind = MsgKind::BroadInv;
     inv.proc = except;
     inv.addr = a;
-    std::vector<unsigned> dsts;
-    dsts.reserve(cfg_.numProcs - 1);
-    for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        if (p != except)
-            dsts.push_back(p);
-    }
+    const std::vector<unsigned> &dsts = procsExcept(except);
     awaitAcks(a, except, static_cast<unsigned>(dsts.size()),
               std::move(onAcked));
     DIR2B_TRC(trc_, instant(eq_.now(), trk_, "broadinv_fanout", a,
@@ -104,11 +108,7 @@ TwoBitDirCtrl::processRequest(const Message &msg)
         q.proc = k;
         q.addr = a;
         q.rw = msg.rw;
-        std::vector<unsigned> dsts;
-        for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-            if (p != k)
-                dsts.push_back(p);
-        }
+        const std::vector<unsigned> &dsts = procsExcept(k);
         awaitPut(a, k, msg.rw);
         DIR2B_TRC(trc_, instant(eq_.now(), trk_, "broadquery_fanout", a,
                                 dsts.size()));

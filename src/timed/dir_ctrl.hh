@@ -18,6 +18,8 @@
 #ifndef DIR2B_TIMED_DIR_CTRL_HH
 #define DIR2B_TIMED_DIR_CTRL_HH
 
+#include <vector>
+
 #include "core/two_bit_directory.hh"
 #include "timed/dir_ctrl_base.hh"
 
@@ -53,9 +55,15 @@ class TwoBitDirCtrl : public TimedDirCtrl
 
     /** BROADINV(a, except): queue deletion, broadcast, ack barrier. */
     void broadcastInvalidate(Addr a, ProcId except,
-                             std::function<void()> onAcked);
+                             AckAction onAcked);
+
+    /** Every processor except k, in ascending order (the fan-out of
+     *  a broadcast; valid until the next call). */
+    const std::vector<unsigned> &procsExcept(ProcId k);
 
     TwoBitDirectory dir_;
+    /** procsExcept()'s reused buffer. */
+    std::vector<unsigned> dsts_;
 };
 
 } // namespace dir2b

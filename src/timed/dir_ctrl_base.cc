@@ -32,8 +32,8 @@ TimedDirCtrl::stuckReport() const
 {
     std::ostringstream os;
     os << "controller " << id_ << ": queue=[";
-    for (const auto &q : queue_)
-        os << " " << toString(q.msg);
+    for (std::size_t i = 0; i < queue_.size(); ++i)
+        os << " " << toString(queue_[i].msg);
     os << " ] busy=[";
     for (const auto &[a, b] : busy_) {
         const char *kind = b.kind == Busy::Kind::AwaitingPut
@@ -86,6 +86,8 @@ TimedDirCtrl::receive(unsigned, const Message &msg)
     }
 
     queue_.push_back(Queued{msg, eq_.now()});
+    if (msg.kind == MsgKind::MRequest)
+        ++mreqsQueued_;
     stats_.queueDepth.sample(queue_.size());
     noteQueueDepth();
     scheduleDispatch();
@@ -102,16 +104,17 @@ TimedDirCtrl::processInvAck(const Message &msg)
     // The acking cache's possible stale MREQUEST preceded this ack on
     // its FIFO link, so if one exists it is in the queue now: delete
     // it (its sender has already converted to a write miss).
-    for (auto qit = queue_.begin(); qit != queue_.end();) {
-        if (qit->msg.kind == MsgKind::MRequest &&
-            qit->msg.addr == msg.addr && qit->msg.proc == msg.proc) {
-            qit = queue_.erase(qit);
+    for (std::size_t i = 0; mreqsQueued_ && i < queue_.size();) {
+        const Message &q = queue_[i].msg;
+        if (q.kind == MsgKind::MRequest && q.addr == msg.addr &&
+            q.proc == msg.proc) {
+            eraseQueued(i);
             ++stats_.mreqDeleted;
             DIR2B_TRC(trc_, instant(eq_.now(), trk_, "mreq_deleted",
                                     msg.addr, msg.proc));
             noteQueueDepth();
         } else {
-            ++qit;
+            ++i;
         }
     }
 
@@ -126,6 +129,14 @@ TimedDirCtrl::processInvAck(const Message &msg)
         done();
         scheduleDispatch();
     }
+}
+
+void
+TimedDirCtrl::eraseQueued(std::size_t i)
+{
+    if (queue_[i].msg.kind == MsgKind::MRequest)
+        --mreqsQueued_;
+    queue_.erase(i);
 }
 
 void
@@ -155,20 +166,20 @@ TimedDirCtrl::dispatch()
     // §3.2.5 option 1: strictly serial — while any transaction is in
     // flight, nothing else is serviced.  Option 2: only commands for
     // blocks with an active transaction are held back.
-    auto it = queue_.begin();
+    std::size_t i = 0;
     if (!cfg_.perBlockConcurrency) {
         if (!busy_.empty())
             return;
     } else {
-        while (it != queue_.end() && busy_.count(it->msg.addr))
-            ++it;
-        if (it == queue_.end())
+        while (i < queue_.size() && busy_.count(queue_[i].msg.addr))
+            ++i;
+        if (i == queue_.size())
             return;
     }
 
-    const Message msg = it->msg;
-    stats_.queueWait.sample(eq_.now() - it->at);
-    queue_.erase(it);
+    const Message msg = queue_[i].msg;
+    stats_.queueWait.sample(eq_.now() - queue_[i].at);
+    eraseQueued(i);
     busyUntil_ = eq_.now() + cfg_.dirLatency;
     // The service span is the controller-occupancy window; naming it
     // by the command makes the Table 3-1 mix visible per track.
@@ -228,7 +239,7 @@ TimedDirCtrl::awaitPut(Addr a, ProcId requester, RW rw)
 
 void
 TimedDirCtrl::awaitAcks(Addr a, ProcId requester, unsigned count,
-                        std::function<void()> onAcked)
+                        AckAction onAcked)
 {
     DIR2B_ASSERT(count > 0, "awaitAcks with nothing to wait for");
     Busy b;
@@ -243,11 +254,12 @@ TimedDirCtrl::awaitAcks(Addr a, ProcId requester, unsigned count,
 bool
 TimedDirCtrl::consumeQueuedPut(Addr a, Message &out)
 {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->msg.kind == MsgKind::Eject && it->msg.addr == a &&
-            (it->msg.rw == RW::Write || ejectReadAnswersWait())) {
-            out = it->msg;
-            queue_.erase(it);
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const Message &q = queue_[i].msg;
+        if (q.kind == MsgKind::Eject && q.addr == a &&
+            (q.rw == RW::Write || ejectReadAnswersWait())) {
+            out = q;
+            eraseQueued(i);
             ++stats_.putsConsumed;
             DIR2B_TRC(trc_, instant(eq_.now(), trk_, "put_consumed", a,
                                     out.proc));
@@ -262,13 +274,14 @@ unsigned
 TimedDirCtrl::deleteQueuedMRequests(Addr a, ProcId except)
 {
     unsigned deleted = 0;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-        if (it->msg.kind == MsgKind::MRequest && it->msg.addr == a &&
-            it->msg.proc != except) {
-            it = queue_.erase(it);
+    for (std::size_t i = 0; mreqsQueued_ && i < queue_.size();) {
+        const Message &q = queue_[i].msg;
+        if (q.kind == MsgKind::MRequest && q.addr == a &&
+            q.proc != except) {
+            eraseQueued(i);
             ++deleted;
         } else {
-            ++it;
+            ++i;
         }
     }
     stats_.mreqDeleted.inc(deleted);

@@ -5,7 +5,8 @@
  * Both the two-bit controller and the full-map baseline need the same
  * §3.2.5 infrastructure:
  *
- *  - a request queue with delete-anywhere logic;
+ *  - a request queue with delete-anywhere logic (a RingFifo, so
+ *    enqueueing allocates nothing in the steady state);
  *  - the serial / per-block-concurrent dispatch disciplines;
  *  - per-block busy windows: AwaitingPut (a query's data response is
  *    outstanding), AwaitingAcks (invalidations are being confirmed),
@@ -24,8 +25,6 @@
 #ifndef DIR2B_TIMED_DIR_CTRL_BASE_HH
 #define DIR2B_TIMED_DIR_CTRL_BASE_HH
 
-#include <functional>
-#include <list>
 #include <string>
 
 #include "memory/backing_store.hh"
@@ -35,6 +34,8 @@
 #include "timed/timed_config.hh"
 #include "timed/timed_net.hh"
 #include "util/flat_map.hh"
+#include "util/inline_function.hh"
+#include "util/ring_fifo.hh"
 
 namespace dir2b
 {
@@ -92,6 +93,11 @@ class TimedDirCtrl
     virtual const TwoBitDirectory *twoBitDir() const { return nullptr; }
 
   protected:
+    /** What runs once an invalidation's acks are all in: a move-only
+     *  callable stored inline in the busy entry (captures stay within
+     *  a controller pointer, a requester and an address). */
+    using AckAction = InlineFunction<32>;
+
     /** One block's active transaction. */
     struct Busy
     {
@@ -100,7 +106,7 @@ class TimedDirCtrl
         ProcId requester;
         RW rw;
         unsigned acksRemaining = 0;
-        std::function<void()> onAcked;
+        AckAction onAcked;
         Tick since = 0; ///< when this busy window opened
     };
 
@@ -138,7 +144,7 @@ class TimedDirCtrl
 
     /** Enter the AwaitingAcks busy state for block a. */
     void awaitAcks(Addr a, ProcId requester, unsigned count,
-                   std::function<void()> onAcked);
+                   AckAction onAcked);
 
     /** Pull a queued EJECT for block a out of the queue, if any
      *  (write always; read only under ejectReadAnswersWait()). */
@@ -171,8 +177,13 @@ class TimedDirCtrl
     void dispatch();
     void processInvAck(const Message &msg);
     void noteQueueDepth();
+    /** Remove queue_[i], keeping the MREQUEST count exact. */
+    void eraseQueued(std::size_t i);
 
-    std::list<Queued> queue_;
+    RingFifo<Queued> queue_;
+    /** MREQUESTs currently in queue_: the INVACK path scans the queue
+     *  for a stale one only when this is nonzero. */
+    std::size_t mreqsQueued_ = 0;
     FlatMap<Addr, Busy> busy_;
     Tick busyUntil_ = 0;
     bool dispatchScheduled_ = false;

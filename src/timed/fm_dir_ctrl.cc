@@ -71,7 +71,7 @@ FmDirCtrl::onPutResolved(Addr a, ProcId requester, RW rw,
 
 void
 FmDirCtrl::invalidateHolders(Addr a, Entry &e, ProcId except,
-                             std::function<void()> onAcked)
+                             AckAction onAcked)
 {
     // Stale 'except' bits (the requester re-acquiring a block whose
     // clean eject is still in flight) are cleared silently.

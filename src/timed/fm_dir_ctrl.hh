@@ -66,7 +66,7 @@ class FmDirCtrl : public TimedDirCtrl
      *  'except' bits are cleared silently.  Runs onAcked when every
      *  recipient confirmed (immediately if there were none). */
     void invalidateHolders(Addr a, Entry &e, ProcId except,
-                           std::function<void()> onAcked);
+                           AckAction onAcked);
 
     /** Supply data for a REQUEST and update the entry. */
     void finishRequest(ProcId k, Addr a, RW rw, Value data,

@@ -26,6 +26,8 @@ struct ShardedTimedSystem::Shard
     std::unique_ptr<ShardNet> net;
     EpochLog log;
     std::uint64_t valueNonce = 0;
+    /** The last nonce freshValue() drew on this shard (0 = none). */
+    std::uint64_t lastNonce = 0;
     std::uint64_t completed = 0;
     bool budgetBlown = false;
 };
@@ -58,20 +60,21 @@ ShardedTimedSystem::ShardedTimedSystem(
     }
 
     caches_.reserve(cfg_.numProcs);
+    CompletionSink &sink = *this;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
         Shard &sh = *shards_[shardOfProc(p)];
         switch (cfg_.protocol) {
           case TimedProto::FullMap:
             caches_.push_back(std::make_unique<FmCacheCtrl>(
-                p, sh.cfg, sh.eq, *sh.net));
+                p, sh.cfg, sh.eq, *sh.net, sink));
             break;
           case TimedProto::YenFu:
             caches_.push_back(std::make_unique<YfCacheCtrl>(
-                p, sh.cfg, sh.eq, *sh.net));
+                p, sh.cfg, sh.eq, *sh.net, sink));
             break;
           case TimedProto::TwoBit:
             caches_.push_back(std::make_unique<TwoBitCacheCtrl>(
-                p, sh.cfg, sh.eq, *sh.net));
+                p, sh.cfg, sh.eq, *sh.net, sink));
             break;
         }
         TwoBitCacheCtrl *cc = caches_.back().get();
@@ -120,9 +123,8 @@ ShardedTimedSystem::freshValue(Shard &sh)
     // Values never steer control flow or statistics — the oracle maps
     // them to version numbers — so differing from the serial engine's
     // nonce order is digest-neutral.
-    const std::uint64_t nonce =
-        sh.index + 1 + sh.valueNonce++ * numShards_;
-    return nonce * 0x9e3779b97f4a7c15ULL + 1;
+    sh.lastNonce = sh.index + 1 + sh.valueNonce++ * numShards_;
+    return TimedOracle::encode(sh.lastNonce);
 }
 
 void
@@ -138,31 +140,28 @@ ShardedTimedSystem::issueNext(ProcId p)
     --remaining_[p];
 
     Shard &sh = *shards_[shardOfProc(p)];
-    const bool isWrite = ref->write;
-    const Addr a = ref->addr;
-    const Value wval = isWrite ? freshValue(sh) : 0;
+    const Value wval = ref->write ? freshValue(sh) : 0;
+    caches_[p]->processorRequest(*ref, wval);
+}
 
-    caches_[p]->processorRequest(
-        *ref, wval, [this, &sh, p, a, isWrite, wval](Value v) {
-            if (isWrite)
-                DIR2B_ASSERT(v == wval,
-                             "write completion value mismatch");
-            // Oracle checks replay at the barrier in global
-            // completion order (same-tick completions of one block on
-            // different shards would otherwise race the version
-            // counter).
-            sh.eq.logExternalCall(
-                static_cast<std::uint32_t>(sh.externals.size()));
-            ShardExternal ex;
-            ex.kind = ShardExternal::Kind::Completion;
-            ex.proc = p;
-            ex.addr = a;
-            ex.value = v;
-            ex.isWrite = isWrite;
-            sh.externals.push_back(ex);
-            ++sh.completed;
-            sh.eq.schedule(cfg_.thinkTime, [this, p] { issueNext(p); });
-        });
+void
+ShardedTimedSystem::onComplete(const MemRef &ref, Value v)
+{
+    // Oracle checks replay at the barrier in global completion order
+    // (same-tick completions of one block on different shards would
+    // otherwise race the version counter).
+    const ProcId p = ref.proc;
+    Shard &sh = *shards_[shardOfProc(p)];
+    sh.eq.logExternalCall(static_cast<std::uint32_t>(sh.externals.size()));
+    ShardExternal ex;
+    ex.kind = ShardExternal::Kind::Completion;
+    ex.proc = p;
+    ex.addr = ref.addr;
+    ex.value = v;
+    ex.isWrite = ref.write;
+    sh.externals.push_back(ex);
+    ++sh.completed;
+    sh.eq.schedule(cfg_.thinkTime, [this, p] { issueNext(p); });
 }
 
 TimedRunResult
@@ -326,6 +325,11 @@ ShardedTimedSystem::run(const ProcSource &source,
 void
 ShardedTimedSystem::mergeEpoch()
 {
+    // The shards minted outside the oracle; admit what they drew
+    // before replaying the epoch's write completions.
+    for (const auto &shp : shards_)
+        oracle_.noteMinted(shp->lastNonce);
+
     std::fill(cursor_.begin(), cursor_.end(), std::size_t{0});
     for (auto &m : resolved_)
         m.clear();

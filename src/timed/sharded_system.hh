@@ -64,7 +64,7 @@ namespace dir2b
 {
 
 /** A sharded timed multiprocessor; drop-in for TimedSystem. */
-class ShardedTimedSystem
+class ShardedTimedSystem : private CompletionSink
 {
   public:
     /**
@@ -134,6 +134,8 @@ class ShardedTimedSystem
     Value freshValue(Shard &sh);
 
     void issueNext(ProcId p);
+    /** Log a completion for the barrier; schedule the next issue. */
+    void onComplete(const MemRef &ref, Value v) override;
 
     /** The barrier: serial-order replay of one epoch's logs. */
     void mergeEpoch();

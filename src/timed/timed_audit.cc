@@ -1,9 +1,9 @@
 #include "timed/timed_audit.hh"
 
 #include <string>
-#include <unordered_map>
 
 #include "sim/stats.hh"
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 
 namespace dir2b
@@ -39,8 +39,8 @@ auditTimedFinalState(
 {
     // Gather the unique dirty copy (if any) per block; clean copies
     // must equal memory at quiesce (every downgrade wrote back).
-    std::unordered_map<Addr, Value> dirty;
-    std::unordered_map<Addr, unsigned> dirtyCount;
+    FlatMap<Addr, Value> dirty;
+    FlatMap<Addr, unsigned> dirtyCount;
 
     auto memValue = [&](Addr a) {
         const auto m = static_cast<ModuleId>(a % dirs.size());

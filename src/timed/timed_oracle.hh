@@ -23,40 +23,92 @@
  *
  * Versions are assigned in completion order, which matches the
  * per-block grant order of the serialising controller.
+ *
+ * The minted-value contract: every value a processor writes comes
+ * from encode(nonce) for a nonce of its own, either through
+ * freshValue() or, for an engine that mints outside the oracle, an
+ * encode() call plus noteMinted().  Values are nonce * K + 1 with K
+ * odd, so decode() recovers the nonce with one multiply and the
+ * oracle keeps each write's block and version in a dense table
+ * indexed by nonce: no per-block history map, no hashing of values.
+ * A completed write whose value decodes outside the minted range
+ * panics, and so does a read whose value decodes to an unminted or
+ * not yet completed write, or to a write of another block (check 1).
  */
 
 #ifndef DIR2B_TIMED_TIMED_ORACLE_HH
 #define DIR2B_TIMED_TIMED_ORACLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
 
 namespace dir2b
 {
 
+/** The inverse of odd k mod 2^64 (Newton: any odd k is its own
+ *  inverse mod 8, and each step doubles the exact low bits). */
+constexpr std::uint64_t
+oddInverse(std::uint64_t k)
+{
+    std::uint64_t x = k;
+    for (int i = 0; i < 5; ++i)
+        x *= 2 - k * x;
+    return x;
+}
+
 /** Per-location-SC checker fed by processor-visible completions. */
 class TimedOracle
 {
   public:
+    /** The value written under nonce (nonce >= 1). */
+    static constexpr Value
+    encode(std::uint64_t nonce)
+    {
+        return nonce * mult + 1;
+    }
+
+    /** The nonce a value was minted under (inverse of encode()). */
+    static constexpr std::uint64_t
+    decode(Value v)
+    {
+        return (v - 1) * multInverse;
+    }
+
     /** Produce a unique value for the next write. */
     Value
     freshValue()
     {
-        return ++nonce_ * 0x9e3779b97f4a7c15ULL + 1;
+        return encode(++minted_);
+    }
+
+    /** Nonces up to 'nonce' have been minted outside freshValue(). */
+    void
+    noteMinted(std::uint64_t nonce)
+    {
+        minted_ = std::max(minted_, nonce);
     }
 
     /** A write of v to block a completed at processor p. */
     void
     onWriteComplete(ProcId p, Addr a, Value v)
     {
-        auto &blk = blocks_[a];
-        const std::uint64_t seq = ++blk.lastSeq;
-        blk.seqOf[v] = seq;
-        lastSeen_[key(p, a)] = seq;
+        const std::uint64_t n = decode(v);
+        if (n == 0 || n > minted_)
+            DIR2B_PANIC("write of ", v, " to block ", a, " by processor ",
+                        p, " completed, but that value was never minted");
+        if (n >= versions_.size())
+            versions_.resize(n + 1);
+        Version &ver = versions_[n];
+        DIR2B_ASSERT(ver.seq == 0, "value ", v, " written twice");
+        ver.block = a;
+        ver.seq = ++blocks_[a];
+        lastSeen_[key(p, a)] = ver.seq;
         ++writes_;
     }
 
@@ -80,8 +132,7 @@ class TimedOracle
     checkFinal(Addr a, Value v) const
     {
         auto it = blocks_.find(a);
-        const std::uint64_t last = it == blocks_.end() ? 0
-                                                       : it->second.lastSeq;
+        const std::uint64_t last = it == blocks_.end() ? 0 : it->second;
         const std::uint64_t seq = seqOf(a, v);
         if (seq != last) {
             DIR2B_PANIC("conservation violation: block ", a,
@@ -97,15 +148,21 @@ class TimedOracle
     void
     forEachWrittenBlock(const std::function<void(Addr)> &fn) const
     {
-        for (const auto &[a, hist] : blocks_)
+        for (const auto &[a, last] : blocks_)
             fn(a);
     }
 
   private:
-    struct BlockHistory
+    static constexpr std::uint64_t mult = 0x9e3779b97f4a7c15ULL;
+    static constexpr std::uint64_t multInverse = oddInverse(mult);
+    static_assert(mult * multInverse == 1, "mult must be odd");
+
+    /** One completed write: its block and its version there (0 while
+     *  the write has not completed). */
+    struct Version
     {
-        std::uint64_t lastSeq = 0;
-        std::unordered_map<Value, std::uint64_t> seqOf;
+        Addr block = 0;
+        std::uint64_t seq = 0;
     };
 
     static std::uint64_t
@@ -117,26 +174,24 @@ class TimedOracle
     std::uint64_t
     seqOf(Addr a, Value v) const
     {
-        auto it = blocks_.find(a);
-        if (it == blocks_.end()) {
-            if (v != initialValue(a))
-                DIR2B_PANIC("read of block ", a, " returned ", v,
-                            " which was never written (initial is ",
-                            initialValue(a), ")");
-            return 0;
-        }
         if (v == initialValue(a))
             return 0;
-        auto sit = it->second.seqOf.find(v);
-        if (sit == it->second.seqOf.end())
+        const std::uint64_t n = decode(v);
+        if (n >= versions_.size() || versions_[n].seq == 0 ||
+            versions_[n].block != a)
             DIR2B_PANIC("read of block ", a, " returned ", v,
-                        " which was never written to it");
-        return sit->second;
+                        " which was never written to it (initial is ",
+                        initialValue(a), ")");
+        return versions_[n].seq;
     }
 
-    std::unordered_map<Addr, BlockHistory> blocks_;
-    std::unordered_map<std::uint64_t, std::uint64_t> lastSeen_;
-    Value nonce_ = 0;
+    /** Indexed by nonce; entry 0 is never minted. */
+    std::vector<Version> versions_;
+    /** Newest version per written block. */
+    FlatMap<Addr, std::uint64_t> blocks_;
+    /** Newest version each (processor, block) has observed. */
+    FlatMap<std::uint64_t, std::uint64_t> lastSeen_;
+    std::uint64_t minted_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

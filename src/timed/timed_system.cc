@@ -25,19 +25,20 @@ TimedSystem::TimedSystem(const TimedConfig &cfg) : cfg_(cfg)
                                           cfg_.network, cfg_.tracer);
 
     caches_.reserve(cfg_.numProcs);
+    CompletionSink &sink = *this;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
         switch (cfg_.protocol) {
           case TimedProto::FullMap:
             caches_.push_back(std::make_unique<FmCacheCtrl>(
-                p, cfg_, eq_, *net_));
+                p, cfg_, eq_, *net_, sink));
             break;
           case TimedProto::YenFu:
             caches_.push_back(std::make_unique<YfCacheCtrl>(
-                p, cfg_, eq_, *net_));
+                p, cfg_, eq_, *net_, sink));
             break;
           case TimedProto::TwoBit:
             caches_.push_back(std::make_unique<TwoBitCacheCtrl>(
-                p, cfg_, eq_, *net_));
+                p, cfg_, eq_, *net_, sink));
             break;
         }
         TwoBitCacheCtrl *cc = caches_.back().get();
@@ -84,21 +85,20 @@ TimedSystem::issueNext(ProcId p)
                  ref->proc, " when asked for ", p);
     --remaining_[p];
 
-    const bool isWrite = ref->write;
-    const Addr a = ref->addr;
-    const Value wval = isWrite ? oracle_.freshValue() : 0;
+    const Value wval = ref->write ? oracle_.freshValue() : 0;
+    caches_[p]->processorRequest(*ref, wval);
+}
 
-    caches_[p]->processorRequest(*ref, wval,
-                                 [this, p, a, isWrite, wval](Value v) {
-        if (isWrite) {
-            DIR2B_ASSERT(v == wval, "write completion value mismatch");
-            oracle_.onWriteComplete(p, a, v);
-        } else {
-            oracle_.onReadComplete(p, a, v);
-        }
-        ++completed_;
-        eq_.schedule(cfg_.thinkTime, [this, p] { issueNext(p); });
-    });
+void
+TimedSystem::onComplete(const MemRef &ref, Value v)
+{
+    if (ref.write)
+        oracle_.onWriteComplete(ref.proc, ref.addr, v);
+    else
+        oracle_.onReadComplete(ref.proc, ref.addr, v);
+    ++completed_;
+    const ProcId p = ref.proc;
+    eq_.schedule(cfg_.thinkTime, [this, p] { issueNext(p); });
 }
 
 TimedRunResult

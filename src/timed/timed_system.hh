@@ -76,7 +76,7 @@ struct TimedRunResult
 };
 
 /** A complete timed two-bit multiprocessor. */
-class TimedSystem
+class TimedSystem : private CompletionSink
 {
   public:
     explicit TimedSystem(const TimedConfig &cfg);
@@ -136,6 +136,8 @@ class TimedSystem
 
   private:
     void issueNext(ProcId p);
+    /** Check a completion against the oracle; schedule the next. */
+    void onComplete(const MemRef &ref, Value v) override;
 
     TimedConfig cfg_;
     EventQueue eq_;

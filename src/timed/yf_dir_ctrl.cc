@@ -31,7 +31,7 @@ YfDirCtrl::process(const Message &msg)
 
 void
 YfDirCtrl::invalidateHolders(Addr a, DynBitset &e, ProcId except,
-                             std::function<void()> onAcked)
+                             AckAction onAcked)
 {
     unsigned sent = 0;
     for (std::size_t i = e.findFirst(); i < e.size();

@@ -56,7 +56,7 @@ class YfDirCtrl : public TimedDirCtrl
     void purgeSoleHolder(Addr a, ProcId requester, RW rw);
 
     void invalidateHolders(Addr a, DynBitset &e, ProcId except,
-                           std::function<void()> onAcked);
+                           AckAction onAcked);
 
     FlatMap<Addr, DynBitset> map_;
 };

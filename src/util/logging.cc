@@ -12,6 +12,14 @@ namespace
 LogLevel globalLevel = LogLevel::Warn;
 DebugSink globalDebugSink;
 
+void
+updateDebugOn()
+{
+    detail::debugOn.store(globalLevel >= LogLevel::Debug ||
+                              static_cast<bool>(globalDebugSink),
+                          std::memory_order_relaxed);
+}
+
 } // namespace
 
 LogLevel
@@ -24,12 +32,14 @@ void
 setLogLevel(LogLevel level)
 {
     globalLevel = level;
+    updateDebugOn();
 }
 
 void
 setDebugSink(DebugSink sink)
 {
     globalDebugSink = std::move(sink);
+    updateDebugOn();
 }
 
 namespace detail
@@ -63,13 +73,6 @@ informImpl(const std::string &msg)
 {
     if (globalLevel >= LogLevel::Inform)
         std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-bool
-debugEnabled()
-{
-    return globalLevel >= LogLevel::Debug ||
-           static_cast<bool>(globalDebugSink);
 }
 
 void

@@ -12,6 +12,7 @@
 #ifndef DIR2B_UTIL_LOGGING_HH
 #define DIR2B_UTIL_LOGGING_HH
 
+#include <atomic>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -43,8 +44,17 @@ void setDebugSink(DebugSink sink);
 namespace detail
 {
 
-/** True when DIR2B_DEBUG must materialise its message at all. */
-bool debugEnabled();
+/** Debug level set or a sink installed; setLogLevel() and
+ *  setDebugSink() recompute it. */
+inline std::atomic<bool> debugOn{false};
+
+/** True when DIR2B_DEBUG must materialise its message at all.  Every
+ *  timed message passes this guard, so it is one relaxed load. */
+inline bool
+debugEnabled()
+{
+    return debugOn.load(std::memory_order_relaxed);
+}
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);

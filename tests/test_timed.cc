@@ -368,21 +368,28 @@ TEST(TimedSystem, StatsDumpCoversEveryComponent)
     }
 }
 
+// Write values follow the oracle's minted-value contract: they come
+// from freshValue(), never from literals.
+
 TEST(TimedOracle, DetectsFabricatedValue)
 {
     TimedOracle o;
-    o.onWriteComplete(0, 10, 111);
-    EXPECT_DEATH(o.onReadComplete(1, 10, 222), "never written");
+    const Value v1 = o.freshValue();
+    const Value v2 = o.freshValue();
+    o.onWriteComplete(0, 10, v1);
+    EXPECT_DEATH(o.onReadComplete(1, 10, v2), "never written");
 }
 
 TEST(TimedOracle, DetectsBackwardsTimeTravel)
 {
     TimedOracle o;
-    o.onWriteComplete(0, 10, 111);
-    o.onWriteComplete(0, 10, 222);
-    o.onReadComplete(1, 10, 222);
+    const Value v1 = o.freshValue();
+    const Value v2 = o.freshValue();
+    o.onWriteComplete(0, 10, v1);
+    o.onWriteComplete(0, 10, v2);
+    o.onReadComplete(1, 10, v2);
     // Having seen version 2, processor 1 may not observe version 1.
-    EXPECT_DEATH(o.onReadComplete(1, 10, 111), "coherence violation");
+    EXPECT_DEATH(o.onReadComplete(1, 10, v1), "coherence violation");
 }
 
 TEST(TimedOracle, AllowsStaleReadBeforeObservingNewWrite)
@@ -390,19 +397,50 @@ TEST(TimedOracle, AllowsStaleReadBeforeObservingNewWrite)
     // The ack-free window: a processor that has not yet seen the new
     // version may still legally read the old one.
     TimedOracle o;
+    const Value v1 = o.freshValue();
     o.onReadComplete(1, 10, initialValue(10));
-    o.onWriteComplete(0, 10, 111);
+    o.onWriteComplete(0, 10, v1);
     o.onReadComplete(1, 10, initialValue(10)); // stale but legal
-    o.onReadComplete(1, 10, 111);
+    o.onReadComplete(1, 10, v1);
 }
 
 TEST(TimedOracle, FinalCheckCatchesLostWrite)
 {
     TimedOracle o;
-    o.onWriteComplete(0, 10, 111);
-    o.onWriteComplete(1, 10, 222);
-    EXPECT_DEATH(o.checkFinal(10, 111), "conservation violation");
-    o.checkFinal(10, 222);
+    const Value v1 = o.freshValue();
+    const Value v2 = o.freshValue();
+    o.onWriteComplete(0, 10, v1);
+    o.onWriteComplete(1, 10, v2);
+    EXPECT_DEATH(o.checkFinal(10, v1), "conservation violation");
+    o.checkFinal(10, v2);
+}
+
+TEST(TimedOracle, DetectsUnmintedWrite)
+{
+    TimedOracle o;
+    o.onWriteComplete(0, 10, o.freshValue());
+    EXPECT_DEATH(o.onWriteComplete(0, 10, 111), "never minted");
+    // One past the minted range is as unminted as an arbitrary value.
+    EXPECT_DEATH(o.onWriteComplete(0, 10, TimedOracle::encode(2)),
+                 "never minted");
+}
+
+TEST(TimedOracle, DetectsCrossBlockLeakage)
+{
+    TimedOracle o;
+    const Value v = o.freshValue();
+    o.onWriteComplete(0, 10, v);
+    o.onReadComplete(1, 10, v);
+    EXPECT_DEATH(o.onReadComplete(1, 11, v), "never written to it");
+}
+
+TEST(TimedOracle, EncodeDecodeRoundTrip)
+{
+    for (std::uint64_t n : {1ULL, 2ULL, 12345ULL, 1ULL << 40})
+        EXPECT_EQ(TimedOracle::decode(TimedOracle::encode(n)), n);
+    TimedOracle o;
+    EXPECT_EQ(o.freshValue(), TimedOracle::encode(1));
+    EXPECT_EQ(o.freshValue(), TimedOracle::encode(2));
 }
 
 } // namespace

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/bitops.hh"
 #include "util/bitset.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
+#include "util/ring_fifo.hh"
 #include "util/table.hh"
 #include "util/types.hh"
 
@@ -210,6 +215,52 @@ TEST(TextTable, NumFormatsThreeDecimals)
     EXPECT_EQ(TextTable::num(0.9695), "0.970");
     EXPECT_EQ(TextTable::num(57.3301), "57.330");
     EXPECT_EQ(TextTable::num(0.0004), "0.000");
+}
+
+TEST(Logging, DebugSinkTurnsDeliveryOnAndOff)
+{
+    std::vector<std::string> got;
+    EXPECT_FALSE(detail::debugEnabled());
+    setDebugSink([&got](const std::string &m) { got.push_back(m); });
+    EXPECT_TRUE(detail::debugEnabled());
+    DIR2B_DEBUG("seen ", 1);
+    setDebugSink(nullptr);
+    EXPECT_FALSE(detail::debugEnabled());
+    DIR2B_DEBUG("unseen");
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], "seen 1");
+}
+
+TEST(Logging, DebugLevelTurnsDeliveryOnAndOff)
+{
+    setLogLevel(LogLevel::Debug);
+    EXPECT_TRUE(detail::debugEnabled());
+    setLogLevel(LogLevel::Warn);
+    EXPECT_FALSE(detail::debugEnabled());
+}
+
+TEST(RingFifo, KeepsOrderAcrossWrapGrowthAndErase)
+{
+    // Mirror every operation on a std::deque; the ring must agree
+    // element for element while it wraps, grows and erases from
+    // the front, the back and the middle.
+    RingFifo<int> ring;
+    std::deque<int> ref;
+    Rng rng(5);
+    int next = 0;
+    for (int step = 0; step < 5000; ++step) {
+        if (ref.empty() || rng.chance(0.55)) {
+            ring.push_back(next);
+            ref.push_back(next++);
+        } else {
+            const std::size_t i = rng.range(ref.size());
+            ring.erase(i);
+            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ring[i], ref[i]) << "step " << step;
+    }
 }
 
 } // namespace
