@@ -16,8 +16,7 @@
 #ifndef DIR2B_CHECK_ORACLE_HH
 #define DIR2B_CHECK_ORACLE_HH
 
-#include <unordered_map>
-
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
 
@@ -69,7 +68,7 @@ class CoherenceOracle
     std::uint64_t writesRecorded() const { return writes_; }
 
   private:
-    std::unordered_map<Addr, Value> shadow_;
+    FlatMap<Addr, Value> shadow_;
     Value nonce_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

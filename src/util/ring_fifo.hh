@@ -67,6 +67,23 @@ class RingFifo
         --size_;
     }
 
+    /** Remove every element for which dead(element) holds, keeping
+     *  the others' order; one pass, no allocation. */
+    template <typename Pred>
+    void
+    eraseIf(Pred dead)
+    {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < size_; ++i) {
+            if (!dead(std::as_const(buf_[slot(i)]))) {
+                if (kept != i)
+                    buf_[slot(kept)] = std::move(buf_[slot(i)]);
+                ++kept;
+            }
+        }
+        size_ = kept;
+    }
+
   private:
     std::size_t slot(std::size_t i) const
     {

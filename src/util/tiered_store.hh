@@ -19,16 +19,42 @@
  *    page that will not compress is kept as a raw copy so the blob is
  *    never materially larger than the page.
  *  - **Disk**: when hot + cold together still exceed the budget, the
- *    oldest cold blobs are appended to an unlinked temporary file
- *    (`std::tmpfile`) and only a {offset, length} index entry stays in
- *    RAM.  If the environment cannot create a temporary file the store
- *    degrades gracefully: blobs stay compressed in RAM and the
- *    overrun is counted, never hidden.
+ *    cold blobs demoted longest ago are appended to an unlinked
+ *    temporary file (`std::tmpfile`) and only a {offset, length} index
+ *    entry stays in RAM.  If the environment cannot create a temporary
+ *    file the store degrades gracefully: blobs stay compressed in RAM
+ *    and the overrun is counted, never hidden.
  *
  * A budget of 0 (the default) disables demotion entirely, making the
  * store behave exactly like PagedArray.  All tier movement is fully
  * deterministic — driven only by the access sequence, never by clocks
  * or randomness — so simulations are bit-identical at any budget.
+ *
+ * A budgeted store cycles pages between the tiers about once per
+ * access on a scattered workload, so the cycle itself makes no heap
+ * allocation in the steady state:
+ *
+ *  - **Pooled raw pages.**  Demotion hands the raw buffer to a free
+ *    list of at most two pages; promotion and fresh pages take from
+ *    it.  A recycled buffer holds stale data, so a fresh page is
+ *    zero-filled and decoding writes every word.  The cap keeps the
+ *    pool from holding the warm-up peak's spare pages forever.
+ *  - **Inline cold blobs.**  A blob of up to 16 bytes (any one-run
+ *    page of words up to 8 bytes) lives inside the page record;
+ *    longer ones take a heap buffer of exactly their length.  The
+ *    encoder writes into one per-store scratch page and the blob is
+ *    copied out at its exact length.
+ *  - **Logical bytes.**  Every byte count (residentBytes(),
+ *    compressedBytes(), the disk segment) and therefore every budget
+ *    decision uses the blob's logical length, never what the
+ *    allocator or the inline buffer actually holds: a 13-byte inline
+ *    blob counts 13 bytes, the record's pooled buffers count nothing.
+ *
+ * Spill order is tracked by a queue of {page, demotion generation}
+ * entries; an entry whose page has been promoted or demoted again
+ * since is dead, and dead entries are dropped in order once they
+ * outnumber the live ones, so the queue stays within about twice the
+ * cold page count.
  *
  * Like PagedArray, the store is not thread-safe: reads promote pages
  * and so mutate internal state (get() is const for drop-in
@@ -43,12 +69,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <type_traits>
 #include <vector>
 
 #include "util/flat_map.hh"
+#include "util/logging.hh"
+#include "util/ring_fifo.hh"
 
 namespace dir2b
 {
@@ -65,6 +92,100 @@ struct TieredStoreStats
     std::uint64_t budgetOverruns = 0;   ///< times resident > budget stuck
     std::uint64_t diskUnavailable = 0;  ///< tmpfile() failures (0 or 1)
 };
+
+namespace detail
+{
+
+// Page blob layout: [tag u8] then
+//   tag 0: raw page copy (n * sizeof(T) bytes)
+//   tag 1: [nRuns u16] then nRuns x ([count u16][value T])
+// All fields little-endian via memcpy (portable, alignment-free).  A
+// page whose RLE form would be at least as long as the raw copy is
+// stored raw, so no blob exceeds 1 + n * sizeof(T) bytes.
+
+/** RLE-encode the n words of page (1 <= n <= 2^15) into out, which
+ *  must hold 1 + n * sizeof(T) bytes; returns the blob length. */
+template <typename T>
+std::size_t
+rleEncode(const T *page, std::size_t n, std::uint8_t *out)
+{
+    constexpr std::size_t runBytes = 2 + sizeof(T);
+    const std::size_t rawBytes = 1 + n * sizeof(T);
+    std::size_t pos = 3;
+    std::size_t i = 0;
+    while (i < n) {
+        // The RLE size only grows, so once the next run would reach
+        // the raw size the final one would too: store the page raw.
+        if (pos + runBytes >= rawBytes) {
+            out[0] = 0;
+            std::memcpy(out + 1, page, n * sizeof(T));
+            return rawBytes;
+        }
+        const T value = page[i];
+        std::size_t j = i + 1;
+        if (j < n && page[j] == value) {
+            // Long runs dominate: skip matching 8-word blocks with a
+            // branch-free (vectorisable) test, then finish word-wise.
+            for (; j + 8 <= n; j += 8) {
+                T diff = 0;
+                for (std::size_t k = 0; k < 8; ++k)
+                    diff |= page[j + k] ^ value;
+                if (diff != 0)
+                    break;
+            }
+            while (j < n && page[j] == value)
+                ++j;
+        }
+        const auto count = static_cast<std::uint16_t>(j - i);
+        std::memcpy(out + pos, &count, 2);
+        std::memcpy(out + pos + 2, &value, sizeof(T));
+        pos += runBytes;
+        i = j;
+    }
+    out[0] = 1;
+    const auto runs = static_cast<std::uint16_t>((pos - 3) / runBytes);
+    std::memcpy(out + 1, &runs, 2);
+    return pos;
+}
+
+/** Decode a blob of len bytes into the n words of page, overwriting
+ *  all of them.  Reads stay within blob[0, len): a truncated or
+ *  malformed blob decodes as far as it is intact and the rest of the
+ *  page is zero. */
+template <typename T>
+void
+rleDecode(const std::uint8_t *blob, std::size_t len, T *page,
+          std::size_t n)
+{
+    constexpr std::size_t runBytes = 2 + sizeof(T);
+    std::size_t out = 0;
+    if (len >= 1 && blob[0] == 0) {
+        const std::size_t bytes = std::min(len - 1, n * sizeof(T));
+        auto *dst = reinterpret_cast<unsigned char *>(page);
+        std::memcpy(dst, blob + 1, bytes);
+        std::memset(dst + bytes, 0, n * sizeof(T) - bytes);
+        return;
+    }
+    if (len >= 3 && blob[0] == 1) {
+        std::uint16_t nRuns = 0;
+        std::memcpy(&nRuns, blob + 1, 2);
+        std::size_t in = 3;
+        for (std::uint16_t r = 0;
+             r < nRuns && out < n && in + runBytes <= len;
+             ++r, in += runBytes) {
+            std::uint16_t count = 0;
+            T value{};
+            std::memcpy(&count, blob + in, 2);
+            std::memcpy(&value, blob + in + 2, sizeof(T));
+            const std::size_t k = std::min<std::size_t>(count, n - out);
+            std::fill_n(page + out, k, value);
+            out += k;
+        }
+    }
+    std::fill(page + out, page + n, T{});
+}
+
+} // namespace detail
 
 /** Sparse tiered array of unsigned words in 2^PageBits-element pages. */
 template <typename T, unsigned PageBits>
@@ -111,7 +232,8 @@ class TieredStore
             pages_.emplace_back();
             Page &pg = pages_.back();
             pg.pageIdx = pageIdx;
-            pg.raw = std::make_unique<T[]>(pageElems);
+            pg.raw = takeBuffer();
+            std::fill_n(pg.raw.get(), pageElems, T{});
             pg.tier = Tier::Hot;
             hot_.push_back(it->second);
         }
@@ -143,21 +265,57 @@ class TieredStore
     /** The configured RAM budget (0 = unlimited). */
     std::uint64_t budgetBytes() const { return budget_; }
 
+    /** Entries in the spill queue, live and dead (see the file
+     *  comment); at most about twice coldPages(). */
+    std::size_t spillQueueLength() const { return coldQ_.size(); }
+
     /** Operation counters. */
     const TieredStoreStats &stats() const { return stats_; }
 
   private:
     enum class Tier : std::uint8_t { Hot, Cold, Disk };
 
+    /** Raw buffers kept for reuse between a demotion and the next
+     *  promotion; see the file comment. */
+    static constexpr std::size_t maxPooledPages = 2;
+
+    /** Longest blob kept inside the page record (a one-run page of
+     *  words up to 8 bytes needs 3 + 2 + 8 = 13). */
+    static constexpr std::size_t inlineBlobBytes = 16;
+
+    /** Dead spill-queue entries may outnumber the live ones by this
+     *  many before the queue is compacted. */
+    static constexpr std::size_t spillQueueSlack = 16;
+
     struct Page
     {
         std::uint64_t pageIdx = 0;
-        std::unique_ptr<T[]> raw;       ///< Hot tier storage
-        std::vector<std::uint8_t> blob; ///< Cold tier storage
-        std::uint64_t diskOff = 0;      ///< Disk tier location...
-        std::uint32_t diskLen = 0;      ///< ...and blob length
+        std::unique_ptr<T[]> raw; ///< Hot tier storage
+        /** Cold blob longer than inlineBlobBytes. */
+        std::unique_ptr<std::uint8_t[]> heapBlob;
+        union
+        {
+            std::uint8_t inlineBlob[inlineBlobBytes]; ///< short cold blob
+            std::uint64_t diskOff = 0; ///< Disk tier location
+        };
+        std::uint32_t blobLen = 0; ///< logical cold / disk blob length
+        std::uint32_t gen = 0;     ///< demotions so far (spill queue tag)
         Tier tier = Tier::Hot;
         bool refBit = false; ///< clock second-chance recency bit
+
+        const std::uint8_t *
+        blob() const
+        {
+            return blobLen <= inlineBlobBytes ? inlineBlob : heapBlob.get();
+        }
+    };
+
+    /** A demotion awaiting its turn to spill; live while the page is
+     *  still cold from that same demotion. */
+    struct SpillEntry
+    {
+        std::uint32_t slot = 0;
+        std::uint32_t gen = 0;
     };
 
     struct FileCloser
@@ -190,26 +348,28 @@ class TieredStore
           case Tier::Hot:
             break;
           case Tier::Cold:
-            pg.raw = decompress(pg.blob.data(), pg.blob.size());
-            coldBytes_ -= pg.blob.size();
+            pg.raw = takeBuffer();
+            detail::rleDecode(pg.blob(), pg.blobLen, pg.raw.get(),
+                              pageElems);
+            coldBytes_ -= pg.blobLen;
             --coldCount_;
-            pg.blob = {};
+            pg.heapBlob.reset();
             pg.tier = Tier::Hot;
             hot_.push_back(slot);
             ++stats_.decompressions;
             break;
-          case Tier::Disk: {
-            std::vector<std::uint8_t> blob(pg.diskLen);
-            readSegment(pg.diskOff, blob.data(), pg.diskLen);
-            pg.raw = decompress(blob.data(), blob.size());
+          case Tier::Disk:
+            readSegment(pg.diskOff, scratch(), pg.blobLen);
+            pg.raw = takeBuffer();
+            detail::rleDecode(scratch(), pg.blobLen, pg.raw.get(),
+                              pageElems);
             --diskCount_;
             pg.tier = Tier::Hot;
             hot_.push_back(slot);
             ++stats_.decompressions;
             ++stats_.diskPageReads;
-            stats_.diskBytesRead += pg.diskLen;
+            stats_.diskBytesRead += pg.blobLen;
             break;
-          }
         }
         pg.refBit = true;
         cachedIdx_ = pg.pageIdx;
@@ -255,12 +415,21 @@ class TieredStore
                 ++hand_;
                 continue;
             }
-            pg.blob = compress(pg.raw.get());
-            pg.raw.reset();
+            const std::size_t len =
+                detail::rleEncode(pg.raw.get(), pageElems, scratch());
+            pg.blobLen = static_cast<std::uint32_t>(len);
+            if (len <= inlineBlobBytes) {
+                std::memcpy(pg.inlineBlob, scratch(), len);
+            } else {
+                pg.heapBlob =
+                    std::make_unique_for_overwrite<std::uint8_t[]>(len);
+                std::memcpy(pg.heapBlob.get(), scratch(), len);
+            }
+            recycle(std::move(pg.raw));
             pg.tier = Tier::Cold;
-            coldBytes_ += pg.blob.size();
+            coldBytes_ += len;
             ++coldCount_;
-            coldQ_.push_back(slot);
+            queueSpill(slot, ++pg.gen);
             ++stats_.compressions;
             hot_[hand_] = hot_.back();
             hot_.pop_back();
@@ -268,39 +437,59 @@ class TieredStore
         }
     }
 
-    /** Append the oldest still-cold blob to the disk segment.
+    bool
+    live(const SpillEntry &e) const
+    {
+        const Page &pg = pages_[e.slot];
+        return pg.tier == Tier::Cold && pg.gen == e.gen;
+    }
+
+    /** Queue a demotion for spilling.  Each cold page has exactly one
+     *  live entry, so once the dead ones (pages promoted or demoted
+     *  again since) outnumber the live ones, drop them in order: each
+     *  dead entry is dropped once, keeping this amortised O(1). */
+    void
+    queueSpill(std::uint32_t slot, std::uint32_t gen)
+    {
+        coldQ_.push_back({slot, gen});
+        if (coldQ_.size() > 2 * coldCount_ + spillQueueSlack) {
+            coldQ_.eraseIf(
+                [this](const SpillEntry &e) { return !live(e); });
+        }
+    }
+
+    /** Append the cold blob demoted longest ago to the disk segment.
      *  Returns false when no spill is possible (no tmpfile). */
     bool
     spillOne()
     {
         while (!coldQ_.empty()) {
-            const std::uint32_t slot = coldQ_.front();
-            Page &pg = pages_[slot];
-            if (pg.tier != Tier::Cold) {
-                // Promoted (or already spilled) since it was queued.
-                coldQ_.pop_front();
+            const SpillEntry e = coldQ_[0];
+            if (!live(e)) {
+                coldQ_.erase(0);
                 continue;
             }
+            Page &pg = pages_[e.slot];
             if (!ensureSegment())
                 return false;
             std::fseek(seg_.get(), 0, SEEK_END);
-            const std::size_t len = pg.blob.size();
-            if (std::fwrite(pg.blob.data(), 1, len, seg_.get()) != len) {
+            const std::size_t len = pg.blobLen;
+            if (std::fwrite(pg.blob(), 1, len, seg_.get()) != len) {
                 // Treat a failed write like an absent disk tier.
                 seg_.reset();
                 segFailed_ = true;
                 ++stats_.diskUnavailable;
                 return false;
             }
+            // diskOff shares storage with the inline blob just written.
             pg.diskOff = segEnd_;
-            pg.diskLen = static_cast<std::uint32_t>(len);
+            pg.heapBlob.reset();
             segEnd_ += len;
             coldBytes_ -= len;
             --coldCount_;
             ++diskCount_;
-            pg.blob = {};
             pg.tier = Tier::Disk;
-            coldQ_.pop_front();
+            coldQ_.erase(0);
             ++stats_.diskPageWrites;
             stats_.diskBytesWritten += len;
             return true;
@@ -327,6 +516,7 @@ class TieredStore
     void
     readSegment(std::uint64_t off, std::uint8_t *out, std::size_t len)
     {
+        DIR2B_ASSERT(len <= 1 + rawPageBytes, "disk blob longer than a page");
         std::fseek(seg_.get(), static_cast<long>(off), SEEK_SET);
         const std::size_t got = std::fread(out, 1, len, seg_.get());
         // The segment is append-only and written by this object, so a
@@ -336,71 +526,34 @@ class TieredStore
             std::memset(out + got, 0, len - got);
     }
 
-    // --- compression -----------------------------------------------
-    //
-    // Blob layout: [tag u8] then
-    //   tag 0: raw page copy (rawPageBytes bytes)
-    //   tag 1: [nRuns u16] then nRuns x ([count u16][value T])
-    // All fields little-endian via memcpy (portable, alignment-free).
+    // --- page buffers ----------------------------------------------
 
-    static std::vector<std::uint8_t>
-    compress(const T *page)
+    /** A raw page buffer with stale contents: pooled if one is spare. */
+    std::unique_ptr<T[]>
+    takeBuffer()
     {
-        // Count runs first so the exact size is allocated once.
-        std::size_t nRuns = 1;
-        for (std::size_t i = 1; i < pageElems; ++i)
-            nRuns += page[i] != page[i - 1];
-        const std::size_t rleBytes = 3 + nRuns * (2 + sizeof(T));
-        if (rleBytes >= 1 + rawPageBytes) {
-            std::vector<std::uint8_t> blob(1 + rawPageBytes);
-            blob[0] = 0;
-            std::memcpy(blob.data() + 1, page, rawPageBytes);
-            return blob;
-        }
-        std::vector<std::uint8_t> blob(rleBytes);
-        blob[0] = 1;
-        const auto runs = static_cast<std::uint16_t>(nRuns);
-        std::memcpy(blob.data() + 1, &runs, 2);
-        std::size_t out = 3;
-        std::size_t i = 0;
-        while (i < pageElems) {
-            std::size_t j = i + 1;
-            while (j < pageElems && page[j] == page[i])
-                ++j;
-            const auto count = static_cast<std::uint16_t>(j - i);
-            std::memcpy(blob.data() + out, &count, 2);
-            std::memcpy(blob.data() + out + 2, &page[i], sizeof(T));
-            out += 2 + sizeof(T);
-            i = j;
-        }
-        return blob;
+        if (pooled_ > 0)
+            return std::move(pool_[--pooled_]);
+        return std::make_unique_for_overwrite<T[]>(pageElems);
     }
 
-    static std::unique_ptr<T[]>
-    decompress(const std::uint8_t *blob, std::size_t len)
+    /** Return a demoted page's buffer to the pool, or free it. */
+    void
+    recycle(std::unique_ptr<T[]> buf)
     {
-        auto page = std::make_unique<T[]>(pageElems);
-        if (len == 0)
-            return page;
-        if (blob[0] == 0) {
-            std::memcpy(page.get(), blob + 1,
-                        std::min(len - 1, rawPageBytes));
-            return page;
-        }
-        std::uint16_t nRuns = 0;
-        std::memcpy(&nRuns, blob + 1, 2);
-        std::size_t in = 3;
-        std::size_t out = 0;
-        for (std::uint16_t r = 0; r < nRuns && out < pageElems; ++r) {
-            std::uint16_t count = 0;
-            T value{};
-            std::memcpy(&count, blob + in, 2);
-            std::memcpy(&value, blob + in + 2, sizeof(T));
-            in += 2 + sizeof(T);
-            for (std::uint16_t k = 0; k < count && out < pageElems; ++k)
-                page[out++] = value;
-        }
-        return page;
+        if (pooled_ < maxPooledPages)
+            pool_[pooled_++] = std::move(buf);
+    }
+
+    /** Encoder output and disk staging: one blob of the largest size,
+     *  allocated at the first demotion. */
+    std::uint8_t *
+    scratch()
+    {
+        if (!scratch_)
+            scratch_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+                1 + rawPageBytes);
+        return scratch_.get();
     }
 
     FlatMap<std::uint64_t, std::uint32_t> dir_;
@@ -408,10 +561,14 @@ class TieredStore
 
     std::vector<std::uint32_t> hot_; ///< slots in the hot tier
     std::size_t hand_ = 0;           ///< clock hand into hot_
-    std::deque<std::uint32_t> coldQ_; ///< spill order (lazy entries)
+    RingFifo<SpillEntry> coldQ_;     ///< spill order (lazy entries)
     std::size_t coldCount_ = 0;
     std::size_t diskCount_ = 0;
     std::uint64_t coldBytes_ = 0;
+
+    std::unique_ptr<T[]> pool_[maxPooledPages];
+    std::size_t pooled_ = 0;
+    std::unique_ptr<std::uint8_t[]> scratch_;
 
     std::unique_ptr<std::FILE, FileCloser> seg_;
     std::uint64_t segEnd_ = 0;

@@ -3,11 +3,18 @@
  * Differential and directed tests for the tiered page store
  * (util/tiered_store.hh): random access patterns against a plain
  * std::vector oracle at several RAM budgets, compression round-trips
- * on homogeneous and mixed pages, and eviction-then-reload identity
- * through the cold and disk tiers.
+ * on homogeneous and mixed pages, eviction-then-reload identity
+ * through the cold and disk tiers, the RLE codec on blob-size
+ * boundaries and on truncated or tampered blobs, spill order, and the
+ * page cycle's heap allocations (counted by a global operator new).
  */
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <utility>
 #include <vector>
@@ -18,6 +25,29 @@
 #include "core/two_bit_directory.hh"
 #include "util/tiered_store.hh"
 
+namespace
+{
+
+std::atomic<std::uint64_t> allocations{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
 namespace dir2b
 {
 namespace
@@ -25,6 +55,10 @@ namespace
 
 // Small pages (8 words) so a few KiB of budget spans many pages.
 using SmallStore = TieredStore<std::uint64_t, 3>;
+
+// 16 four-byte words (64 raw bytes): one-, two- and three-run blobs
+// are 9, 15 and 21 bytes, straddling the 16-byte inline limit.
+using WordStore = TieredStore<std::uint32_t, 4>;
 
 /** Random get/ref stream vs a dense std::vector oracle. */
 void
@@ -183,6 +217,318 @@ TEST(TieredStore, MoveTransfersAllTiers)
     vec.push_back(std::move(b));
     for (std::uint64_t p = 0; p < 64; ++p)
         EXPECT_EQ(vec[0].get(p * SmallStore::pageElems), p ^ 0xabcdef);
+}
+
+TEST(TieredStore, PinnedCountersAtMidBudget)
+{
+    // A fixed mixed sequence (reads, whole-page fills, single-word
+    // writes) over 96 pages at a budget of 32 raw pages, which never
+    // spills.  The counters and byte counts drive every tier decision,
+    // so they are pinned to the values of the store before its page
+    // cycle was made allocation-free.
+    const std::uint64_t pages = 96;
+    SmallStore store(32 * SmallStore::rawPageBytes);
+    std::mt19937_64 rng(23);
+    std::uint64_t sum = 0;
+    for (int i = 0; i < 20000; ++i) {
+        std::uint64_t page = rng() % pages;
+        if (rng() % 2)
+            page %= 12;
+        const std::uint64_t base = page * SmallStore::pageElems;
+        const unsigned op = rng() % 10;
+        if (op < 5) {
+            sum += store.get(base + rng() % SmallStore::pageElems);
+        } else if (op < 9) {
+            const std::uint64_t v = rng() % 3;
+            for (std::uint64_t e = 0; e < SmallStore::pageElems; ++e)
+                store.ref(base + e) = v;
+        } else {
+            store.ref(base + rng() % SmallStore::pageElems) = rng() % 5;
+        }
+    }
+    const auto &st = store.stats();
+    EXPECT_EQ(st.diskPageWrites, 0u);
+    EXPECT_EQ(st.budgetOverruns, 0u);
+    EXPECT_EQ(st.compressions, 14671u);
+    EXPECT_EQ(st.decompressions, 14587u);
+    EXPECT_EQ(store.compressedBytes(), 1252u);
+    EXPECT_EQ(store.residentBytes(), 2020u);
+    EXPECT_EQ(sum, 9944u);
+}
+
+/** Fill page p of store s with v, then set its first word to first
+ *  (one run if first == v, else two). */
+template <typename Store, typename T>
+void
+fillPage(Store &s, std::uint64_t p, T v, T first)
+{
+    const std::uint64_t base = p * Store::pageElems;
+    for (std::uint64_t e = 0; e < Store::pageElems; ++e)
+        s.ref(base + e) = v;
+    s.ref(base) = first;
+}
+
+TEST(TieredStore, PageCycleMakesNoHeapAllocation)
+{
+    // Twelve one- and two-run pages round-robin through a 4-page
+    // budget: one page is hot, the other eleven are cold inline blobs
+    // (9 or 15 bytes), and every access demotes one page and promotes
+    // another.  Past the warm-up the cycle must not allocate.
+    constexpr std::uint64_t pages = 12;
+    WordStore store(4 * WordStore::rawPageBytes);
+    for (std::uint64_t p = 0; p < pages; ++p)
+        fillPage<WordStore, std::uint32_t>(
+            store, p, p + 1, p % 2 ? 0x80000000u : p + 1);
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        store.get((i % pages) * WordStore::pageElems + 3);
+
+    const std::uint64_t cyclesBefore = store.stats().compressions;
+    const std::uint64_t before = allocations.load();
+    for (std::uint32_t i = 0; i < 100000; ++i) {
+        const std::uint64_t p = i % pages;
+        const std::uint64_t base = p * WordStore::pageElems;
+        ASSERT_EQ(store.get(base + 5), p + 1);
+        if (p % 2)
+            store.ref(base) = 0x80000000u | i;
+    }
+    const std::uint64_t allocs = allocations.load() - before;
+    const std::uint64_t cycles = store.stats().compressions - cyclesBefore;
+    ASSERT_GE(cycles, 99000u);
+    EXPECT_EQ(store.stats().diskPageWrites, 0u);
+    const double perCycle =
+        static_cast<double>(allocs) / static_cast<double>(cycles);
+    std::printf("%.4f allocations per page cycle (%llu in %llu cycles)\n",
+                perCycle, static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(cycles));
+    EXPECT_LT(perCycle, 0.01);
+}
+
+TEST(TieredStore, StalePooledBufferReadsBackExactly)
+{
+    // One hot page at a time (budget below two raw pages).  Page A is
+    // full of mixed nonzero words; once it is demoted its raw buffer
+    // is pooled, and the next promotion (one-run page B) decodes into
+    // that stale buffer.  Every word must come back as written.
+    WordStore store(127);
+    const std::uint64_t pa = 1, pb = 2, pe = 3;
+    const auto aWord = [](std::uint64_t e) {
+        return static_cast<std::uint32_t>(0x9e3779b9u * (e / 2 + 1));
+    };
+    fillPage<WordStore, std::uint32_t>(store, pb, 7, 7);
+    for (std::uint64_t e = 0; e < WordStore::pageElems; ++e)
+        store.ref(pa * WordStore::pageElems + e) = aWord(e);
+    const std::uint32_t *aBuf = &store.ref(pa * WordStore::pageElems);
+    fillPage<WordStore, std::uint32_t>(store, pe, 5, 5); // demotes A
+
+    const std::uint64_t decompressions = store.stats().decompressions;
+    const std::uint32_t *bBuf = &store.ref(pb * WordStore::pageElems);
+    EXPECT_EQ(store.stats().decompressions, decompressions + 1);
+    EXPECT_EQ(bBuf, aBuf) << "B was not promoted into A's pooled buffer";
+    EXPECT_EQ(store.stats().diskPageWrites, 0u);
+    for (std::uint64_t e = 0; e < WordStore::pageElems; ++e)
+        EXPECT_EQ(store.get(pb * WordStore::pageElems + e), 7u) << e;
+    for (std::uint64_t e = 0; e < WordStore::pageElems; ++e) {
+        EXPECT_EQ(store.get(pa * WordStore::pageElems + e), aWord(e)) << e;
+        EXPECT_EQ(store.get(pe * WordStore::pageElems + e), 5u) << e;
+    }
+}
+
+TEST(TieredStore, BlobSizesStraddleTheInlineLimit)
+{
+    // Pages of 1, 2 and 3 runs of 4-byte words make 9-, 15- and
+    // 21-byte blobs (inline, inline, heap); one- and two-run pages of
+    // 8-byte words make 13 and 23.  The store counts each at its
+    // logical length and reads each back exactly.
+    for (std::uint64_t runs = 1; runs <= 3; ++runs) {
+        WordStore store(127); // one hot page
+        const std::uint64_t base = 4 * WordStore::pageElems;
+        for (std::uint64_t e = 0; e < WordStore::pageElems; ++e)
+            store.ref(base + e) = 1 + static_cast<std::uint32_t>(
+                                          std::min(e, runs - 1));
+        store.ref(0) = 0; // demote the page under test
+        EXPECT_EQ(store.coldPages(), 1u);
+        EXPECT_EQ(store.compressedBytes(), 3 + runs * 6) << runs;
+        for (std::uint64_t e = 0; e < WordStore::pageElems; ++e)
+            EXPECT_EQ(store.get(base + e), 1 + std::min(e, runs - 1));
+    }
+    for (std::uint64_t runs = 1; runs <= 2; ++runs) {
+        SmallStore store(127);
+        fillPage<SmallStore, std::uint64_t>(store, 4, 9, runs == 1 ? 9 : 1);
+        store.ref(0) = 0;
+        EXPECT_EQ(store.compressedBytes(), 3 + runs * 10) << runs;
+        EXPECT_EQ(store.get(4 * SmallStore::pageElems), runs == 1 ? 9u : 1u);
+        EXPECT_EQ(store.get(4 * SmallStore::pageElems + 1), 9u);
+    }
+}
+
+TEST(TieredStore, RleExactlyRawSizeTakesTheRawForm)
+{
+    // Eight 4-byte words: raw blob 1 + 32 = 33 bytes; five runs make
+    // an RLE blob of 3 + 5 * 6 = 33 bytes, which must take the raw
+    // form, while four runs (27 bytes) stay RLE.
+    using Store = TieredStore<std::uint32_t, 3>;
+    std::uint8_t out[1 + Store::rawPageBytes];
+    const std::uint32_t five[8] = {1, 1, 2, 2, 3, 3, 4, 5};
+    const std::uint32_t four[8] = {1, 1, 2, 2, 3, 3, 4, 4};
+    EXPECT_EQ(detail::rleEncode(five, 8, out), 33u);
+    EXPECT_EQ(out[0], 0u);
+    EXPECT_EQ(detail::rleEncode(four, 8, out), 27u);
+    EXPECT_EQ(out[0], 1u);
+
+    // In the store the demoted blob spills at once (two raw pages
+    // exceed the budget); cold or on disk, it counts 33 bytes.
+    Store store(63);
+    for (std::uint64_t e = 0; e < 8; ++e)
+        store.ref(8 + e) = five[e];
+    store.ref(0) = 0;
+    EXPECT_EQ(store.compressedBytes() + store.segmentBytes(), 33u);
+    for (std::uint64_t e = 0; e < 8; ++e)
+        EXPECT_EQ(store.get(8 + e), five[e]);
+}
+
+/** Decode blob[0, len) from an exactly sized heap copy (so a sanitizer
+ *  catches any read past len) into a page pre-filled with garbage. */
+std::vector<std::uint32_t>
+decodeCopy(const std::vector<std::uint8_t> &blob, std::size_t len)
+{
+    const std::vector<std::uint8_t> copy(blob.begin(),
+                                         blob.begin() + len);
+    std::vector<std::uint32_t> page(16, 0xdeadbeefu);
+    detail::rleDecode(copy.data(), copy.size(), page.data(), page.size());
+    return page;
+}
+
+TEST(TieredStoreCodec, TruncatedBlobsDecodeTheIntactPrefix)
+{
+    // Three runs: 5 x 1, 7 x 2, 4 x 3.  Every prefix of the blob
+    // decodes the runs it holds completely and zeroes the rest.
+    std::vector<std::uint32_t> page(16, 3);
+    std::fill_n(page.begin(), 12, 2u);
+    std::fill_n(page.begin(), 5, 1u);
+    std::vector<std::uint8_t> blob(1 + 16 * 4);
+    const std::size_t len =
+        detail::rleEncode(page.data(), 16, blob.data());
+    ASSERT_EQ(len, 21u);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+        const std::size_t whole = cut < 3 ? 0 : (cut - 3) / 6;
+        std::vector<std::uint32_t> want(16, 0);
+        const std::size_t covered = whole == 0 ? 0
+                                    : whole == 1 ? 5
+                                    : whole == 2 ? 12
+                                                 : 16;
+        std::copy_n(page.begin(), covered, want.begin());
+        EXPECT_EQ(decodeCopy(blob, cut), want) << "cut " << cut;
+    }
+
+    // A raw blob cut short copies what it holds, bytes included.
+    std::vector<std::uint32_t> mixed(16);
+    for (std::size_t i = 0; i < 16; ++i)
+        mixed[i] = 0x01010101u * static_cast<std::uint32_t>(i + 1);
+    const std::size_t rawLen =
+        detail::rleEncode(mixed.data(), 16, blob.data());
+    ASSERT_EQ(rawLen, 65u);
+    ASSERT_EQ(blob[0], 0u);
+    const auto partial = decodeCopy(blob, 1 + 4 * 5 + 2);
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(partial[i], mixed[i]);
+    EXPECT_EQ(partial[5], mixed[5] & 0xffffu); // little-endian half
+    for (std::size_t i = 6; i < 16; ++i)
+        EXPECT_EQ(partial[i], 0u);
+}
+
+TEST(TieredStoreCodec, TamperedBlobsStayInBoundsAndFillThePage)
+{
+    const auto put16 = [](std::vector<std::uint8_t> &b, std::uint16_t v) {
+        b.push_back(static_cast<std::uint8_t>(v));
+        b.push_back(static_cast<std::uint8_t>(v >> 8));
+    };
+    const auto put32 = [](std::vector<std::uint8_t> &b, std::uint32_t v) {
+        for (int k = 0; k < 4; ++k)
+            b.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
+    };
+    // Claims 1000 runs but holds two: decodes the two, zeroes the rest.
+    std::vector<std::uint8_t> blob{1};
+    put16(blob, 1000);
+    put16(blob, 3);
+    put32(blob, 8);
+    put16(blob, 2);
+    put32(blob, 9);
+    auto page = decodeCopy(blob, blob.size());
+    EXPECT_EQ(page, (std::vector<std::uint32_t>{8, 8, 8, 9, 9, 0, 0, 0,
+                                                0, 0, 0, 0, 0, 0, 0, 0}));
+
+    // A run longer than the page is clipped to the page.
+    blob = {1};
+    put16(blob, 2);
+    put16(blob, 60000);
+    put32(blob, 4);
+    put16(blob, 60000);
+    put32(blob, 6);
+    EXPECT_EQ(decodeCopy(blob, blob.size()),
+              std::vector<std::uint32_t>(16, 4));
+
+    // A raw blob longer than the page copies one page's worth.
+    blob = {0};
+    for (std::uint32_t i = 0; i < 40; ++i)
+        put32(blob, i + 100);
+    page = decodeCopy(blob, blob.size());
+    for (std::uint32_t i = 0; i < 16; ++i)
+        EXPECT_EQ(page[i], i + 100);
+
+    // Empty blobs, an RLE header cut inside its run count, and
+    // unknown tags decode as an all-zero page.
+    const std::vector<std::uint32_t> zeros(16, 0);
+    EXPECT_EQ(decodeCopy(std::vector<std::uint8_t>{}, 0), zeros);
+    EXPECT_EQ(decodeCopy(std::vector<std::uint8_t>{1, 5}, 2), zeros);
+    EXPECT_EQ(decodeCopy(std::vector<std::uint8_t>{7, 1, 0, 16, 0, 1, 0,
+                                                   0, 0},
+                         9),
+              zeros);
+}
+
+TEST(TieredStore, SpillQueueStaysBoundedWithoutSpills)
+{
+    // 100 k page cycles at a budget that never spills: dead queue
+    // entries (pages promoted since their demotion) must not pile up.
+    constexpr std::uint64_t pages = 12;
+    WordStore store(4 * WordStore::rawPageBytes);
+    for (std::uint64_t p = 0; p < pages; ++p)
+        store.ref(p * WordStore::pageElems) = static_cast<std::uint32_t>(p);
+    std::size_t worst = 0;
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        store.get((i % pages) * WordStore::pageElems);
+        worst = std::max(worst, store.spillQueueLength());
+        ASSERT_LE(store.spillQueueLength(), 2 * store.coldPages() + 17)
+            << "after access " << i;
+    }
+    EXPECT_GE(store.stats().compressions, 99000u);
+    EXPECT_EQ(store.stats().diskPageWrites, 0u);
+    EXPECT_LE(worst, 2 * pages + 17);
+}
+
+TEST(TieredStore, SpillTakesTheLongestColdPage)
+{
+    // One hot page (budget 64 + two 9-byte blobs).  Demote P, promote
+    // P, demote Q, demote P: the queue holds P's stale first demotion
+    // ahead of Q, but Q has been cold longest, so Q spills first.
+    WordStore store(WordStore::rawPageBytes + 2 * 9);
+    const std::uint64_t e = WordStore::pageElems;
+    const std::uint64_t P = 1, Q = 2, R = 3, S = 4;
+    fillPage<WordStore, std::uint32_t>(store, P, 11, 11);
+    fillPage<WordStore, std::uint32_t>(store, Q, 22, 22); // demote P
+    EXPECT_EQ(store.get(P * e), 11u);        // promote P, demote Q
+    fillPage<WordStore, std::uint32_t>(store, R, 33, 33); // demote P
+    EXPECT_EQ(store.coldPages(), 2u);
+    EXPECT_EQ(store.stats().diskPageWrites, 0u);
+    fillPage<WordStore, std::uint32_t>(store, S, 44, 44); // spill one
+    if (store.stats().diskUnavailable != 0)
+        GTEST_SKIP() << "no temporary file for the disk tier";
+    ASSERT_EQ(store.stats().diskPageWrites, 1u);
+    EXPECT_EQ(store.get(Q * e + 3), 22u);
+    EXPECT_EQ(store.stats().diskPageReads, 1u) << "Q was not on disk";
+    EXPECT_EQ(store.get(P * e + 3), 11u);
+    EXPECT_EQ(store.get(R * e + 3), 33u);
+    EXPECT_EQ(store.get(S * e + 3), 44u);
 }
 
 TEST(TwoBitDirectoryTiered, BudgetedDirectoryMatchesUnlimited)

@@ -263,5 +263,30 @@ TEST(RingFifo, KeepsOrderAcrossWrapGrowthAndErase)
     }
 }
 
+TEST(RingFifo, EraseIfKeepsSurvivorOrder)
+{
+    // Pops advance the head, so the filtered runs wrap the array.
+    RingFifo<int> ring;
+    std::deque<int> ref;
+    Rng rng(9);
+    int next = 0;
+    for (int step = 0; step < 3000; ++step) {
+        if (ref.empty() || rng.chance(0.6)) {
+            ring.push_back(next);
+            ref.push_back(next++);
+        } else if (rng.chance(0.9)) {
+            ring.erase(0);
+            ref.pop_front();
+        } else {
+            const int mod = 2 + static_cast<int>(rng.range(3));
+            ring.eraseIf([mod](const int &v) { return v % mod == 0; });
+            std::erase_if(ref, [mod](int v) { return v % mod == 0; });
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ring[i], ref[i]) << "step " << step;
+    }
+}
+
 } // namespace
 } // namespace dir2b
