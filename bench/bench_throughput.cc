@@ -19,7 +19,6 @@
 #include "obs/telemetry.hh"
 #include "proto/protocol_factory.hh"
 #include "sim/event_queue.hh"
-#include "timed/sharded_system.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "util/flat_map.hh"
@@ -331,53 +330,6 @@ BM_TimedTwoBitEndToEndSampled(benchmark::State &state)
 }
 BENCHMARK(BM_TimedTwoBitEndToEndSampled)->Arg(256)->Arg(64);
 
-/**
- * Sharded end-to-end timed tier: the same protocol partitioned by
- * directory home across Arg(0) shards (docs/ARCHITECTURE.md), sized
- * up (16 procs / 8 modules) so each shard has real work.  Statistics
- * are bit-identical to serial at every shard count; this benchmark
- * measures what the parallel decomposition buys in refs/s — which is
- * hardware-dependent: on a single-core runner the epoch machinery is
- * pure overhead, the speedup only materialises with real cores (see
- * docs/PERFORMANCE.md).
- */
-void
-BM_TimedTwoBitSharded(benchmark::State &state)
-{
-    const unsigned shards = static_cast<unsigned>(state.range(0));
-    std::uint64_t refs = 0;
-    for (auto _ : state) {
-        TimedConfig cfg;
-        cfg.protocol = TimedProto::TwoBit;
-        cfg.numProcs = 16;
-        cfg.numModules = 8;
-        cfg.cacheGeom.sets = 32;
-        cfg.cacheGeom.ways = 4;
-        cfg.perBlockConcurrency = true;
-        cfg.network = NetKind::Crossbar;
-
-        SyntheticConfig scfg;
-        scfg.numProcs = 16;
-        scfg.q = 0.2;
-        scfg.w = 0.3;
-        scfg.sharedBlocks = 8;
-        scfg.privateBlocks = 64;
-        scfg.hotBlocks = 16;
-        scfg.seed = 0xbe7c4;
-        SyntheticStream stream(scfg);
-
-        const auto r = runTimedWorkload(
-            cfg, shards, 0,
-            [&](ProcId p) -> std::optional<MemRef> {
-                return stream.nextFor(p);
-            },
-            1000);
-        refs += r.refsCompleted;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-}
-BENCHMARK(BM_TimedTwoBitSharded)->Arg(1)->Arg(2)->Arg(4);
-
 void
 BM_TwoBitDirectorySetGet(benchmark::State &state)
 {
@@ -424,57 +376,6 @@ BM_TieredDirectoryScatter(benchmark::State &state)
         dir.residentBytes() / 1024);
 }
 BENCHMARK(BM_TieredDirectoryScatter)->Arg(0)->Arg(512)->Arg(64);
-
-/**
- * Quiescent-epoch fast-forward on a sparse long-horizon sharded run:
- * 4 processors with a 20000-cycle think time between references leave
- * the wheels idle for most of simulated time, and at any instant at
- * most one shard usually has work.  Arg(0) is the fastForward knob
- * (1 = on).  With it off, every gap costs bound-refinement epochs and
- * a 4-worker gang barrier each; with it on, exact bounds collapse the
- * gap to one epoch and single-active-shard epochs run inline on the
- * caller.  Statistics are bit-identical either way (the golden-digest
- * suite pins this); only wall clock moves — this pair is the A/B
- * BENCH_7 records.
- */
-void
-BM_TimedSparseFastForward(benchmark::State &state)
-{
-    const bool ff = state.range(0) != 0;
-    std::uint64_t refs = 0;
-    for (auto _ : state) {
-        TimedConfig cfg;
-        cfg.protocol = TimedProto::TwoBit;
-        cfg.numProcs = 4;
-        cfg.numModules = 4;
-        cfg.cacheGeom.sets = 16;
-        cfg.cacheGeom.ways = 2;
-        cfg.perBlockConcurrency = true;
-        cfg.network = NetKind::Crossbar;
-        cfg.thinkTime = 20000;
-        cfg.fastForward = ff;
-
-        SyntheticConfig scfg;
-        scfg.numProcs = 4;
-        scfg.q = 0.2;
-        scfg.w = 0.3;
-        scfg.sharedBlocks = 8;
-        scfg.privateBlocks = 64;
-        scfg.hotBlocks = 16;
-        scfg.seed = 0xbe7c4;
-        SyntheticStream stream(scfg);
-
-        const auto r = runTimedWorkload(
-            cfg, /*shards=*/4, /*workers=*/4,
-            [&](ProcId p) -> std::optional<MemRef> {
-                return stream.nextFor(p);
-            },
-            2000);
-        refs += r.refsCompleted;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-}
-BENCHMARK(BM_TimedSparseFastForward)->Arg(1)->Arg(0);
 
 void
 BM_OverheadClosedForm(benchmark::State &state)

@@ -28,7 +28,6 @@
 
 #include "obs/telemetry.hh"
 #include "report/bench_cli.hh"
-#include "timed/sharded_system.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "util/parallel.hh"
@@ -80,7 +79,7 @@ netName(NetKind k)
 }
 
 Cell
-runCell(const Spec &s, std::uint64_t refsPerProc, unsigned shards,
+runCell(const Spec &s, std::uint64_t refsPerProc,
         std::uint64_t dirRamBudget, TelemetrySampler *sampler = nullptr)
 {
     TimedConfig cfg;
@@ -108,17 +107,8 @@ runCell(const Spec &s, std::uint64_t refsPerProc, unsigned shards,
     auto src = [stream](ProcId p) -> std::optional<MemRef> {
         return stream->nextFor(p);
     };
-    // Either engine: the statistics (and hence the artifact) are
-    // bit-identical — --shards only changes how the work is run.
     Cell c;
-    if (shards <= 1) {
-        TimedSystem sys(cfg);
-        c.r = sys.run(src, refsPerProc);
-        c.latency = histogramSummaryJson(
-            sys.mergedCacheHistogram(&CacheCtrlStats::latency));
-        return c;
-    }
-    ShardedTimedSystem sys(cfg, shards);
+    TimedSystem sys(cfg);
     c.r = sys.run(src, refsPerProc);
     c.latency = histogramSummaryJson(
         sys.mergedCacheHistogram(&CacheCtrlStats::latency));
@@ -381,8 +371,7 @@ main(int argc, char **argv)
     parallelFor(
         0, grid.size(),
         [&](std::size_t i) {
-            cells[i] = runCell(grid[i], refs, bo.shards,
-                               bo.dirRamBudget,
+            cells[i] = runCell(grid[i], refs, bo.dirRamBudget,
                                i == 0 ? sampler.get() : nullptr);
         },
         bo.threads);
@@ -399,7 +388,6 @@ main(int argc, char **argv)
     params.set("modules", 4);
     params.set("w", 0.3);
     params.set("seed", 31);
-    params.set("shards", bo.shards);
     params.set("dirRamBudget",
                static_cast<unsigned long long>(bo.dirRamBudget));
     if (sampler && !bo.seriesPath.empty()) {

@@ -19,14 +19,11 @@
  *   dir2bsim --record /tmp/t.trc --refs 10000
  *   dir2bsim --trace /tmp/t.trc --protocol classical
  *   dir2bsim --timed --protocol tb --procs 8 --refs 20000
- *   dir2bsim --timed --shards 4 --protocol fm --refs 20000
  *   dir2bsim --list-protocols
  *
  * --timed switches from the functional tier to the discrete-event
  * tier (latencies, contention, the coherence oracle on every
- * completion); there --refs counts references PER PROCESSOR and
- * --shards N > 1 partitions the run by directory home across worker
- * threads with bit-identical statistics (docs/ARCHITECTURE.md).
+ * completion); there --refs counts references PER PROCESSOR.
  */
 
 #include <algorithm>
@@ -46,7 +43,7 @@
 #include "report/report.hh"
 #include "system/func_system.hh"
 #include "system/func_telemetry.hh"
-#include "timed/sharded_system.hh"
+#include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_binary.hh"
 #include "trace/trace_io.hh"
@@ -91,11 +88,9 @@ struct Options
     bool invariants = false;
     bool analyze = false;
     bool timed = false;
-    unsigned shards = 1;
     std::uint64_t dirRamBudget = 0;
     std::uint64_t spaceBlocks = 0;
     std::uint64_t think = 1;
-    bool fastForward = true;
 };
 
 void
@@ -119,9 +114,9 @@ usage(const char *argv0)
         "                      running\n"
         "  --trace-in FILE     mmap-replay a binary trace (zero-copy\n"
         "                      batched dispatch; docs/TRACES.md).\n"
-        "                      Works with --timed and --shards too;\n"
-        "                      results are bit-identical to the run\n"
-        "                      that recorded the stream\n"
+        "                      Works with --timed too; results are\n"
+        "                      bit-identical to the run that\n"
+        "                      recorded the stream\n"
         "  --trace-out FILE    record the synthetic workload as a\n"
         "                      binary trace instead of running\n"
         "  --trace-buffer BYTES\n"
@@ -142,7 +137,8 @@ usage(const char *argv0)
         "                      count (e.g. 2,4,8), cells in parallel;\n"
         "                      not with --timed\n"
         "  --threads N         sweep-pool width (default: the\n"
-        "                      DIR2B_THREADS env var, else all cores)\n"
+        "                      DIR2B_THREADS env var, else all cores);\n"
+        "                      not with --timed\n"
         "  --no-oracle         skip coherence checking (faster); not\n"
         "                      with --timed, which always checks\n"
         "  --analyze           print trace statistics, don't simulate\n"
@@ -150,9 +146,6 @@ usage(const char *argv0)
         "  --timed             run the discrete-event tier instead\n"
         "                      (protocols tb|fm|yf; --refs is per\n"
         "                      processor there)\n"
-        "  --shards N          with --timed: shard the run by home\n"
-        "                      across N wheels/threads (default 1;\n"
-        "                      statistics are bit-identical)\n"
         "  --dir-ram-budget BYTES\n"
         "                      total directory RAM budget (suffixes\n"
         "                      K/M/G); cold directory pages compress\n"
@@ -165,9 +158,6 @@ usage(const char *argv0)
         "                      huge sparse directories\n"
         "  --think N           with --timed: processor think time\n"
         "                      between references (default 1)\n"
-        "  --no-fast-forward   with --timed --shards N: disable the\n"
-        "                      quiescent-epoch fast-forward (A/B\n"
-        "                      knob; statistics are identical)\n"
         "  --list-protocols    print registered protocol names\n",
         argv0);
 }
@@ -260,11 +250,6 @@ parse(int argc, char **argv)
             o.noOracle = true;
         } else if (arg == "--timed") {
             o.timed = true;
-        } else if (arg == "--shards") {
-            const long v = std::atol(need(i));
-            if (v <= 0)
-                DIR2B_FATAL("--shards wants a positive integer");
-            o.shards = static_cast<unsigned>(v);
         } else if (arg == "--dir-ram-budget") {
             o.dirRamBudget = parseByteSize(need(i),
                                            "--dir-ram-budget");
@@ -274,8 +259,6 @@ parse(int argc, char **argv)
         } else if (arg == "--think") {
             o.think = static_cast<std::uint64_t>(
                 std::strtoull(need(i), nullptr, 10));
-        } else if (arg == "--no-fast-forward") {
-            o.fastForward = false;
         } else if (arg == "--analyze") {
             o.analyze = true;
         } else if (arg == "--invariants") {
@@ -372,9 +355,8 @@ effectiveInterval(const Options &o)
 
 /**
  * Series params: the deterministic run configuration only.  Host
- * knobs (shards, threads) and bit-identical A/B knobs (fastForward)
- * are deliberately excluded so serial and sharded runs of the same
- * configuration emit byte-identical artifacts (docs/METRICS.md).
+ * knobs (threads) are deliberately excluded so the artifact is a pure
+ * function of the run configuration (docs/METRICS.md).
  */
 Json
 seriesParams(const Options &o)
@@ -565,7 +547,6 @@ runTimed(Options o)
     cfg.network = NetKind::Crossbar;
     cfg.dirRamBudget = o.dirRamBudget;
     cfg.thinkTime = o.think;
-    cfg.fastForward = o.fastForward;
 
     SyntheticConfig scfg;
     scfg.numProcs = procs;
@@ -596,17 +577,16 @@ runTimed(Options o)
     }
 
     const auto start = std::chrono::steady_clock::now();
-    const TimedRunResult r = runTimedWorkload(
-        cfg, o.shards, o.threads,
+    TimedSystem sys(cfg);
+    const TimedRunResult r = sys.run(
         [&](ProcId p) -> std::optional<MemRef> {
             return procSrc ? procSrc->next(p) : stream.nextFor(p);
         },
         refsPerProc);
 
     std::printf("# dir2bsim timed: protocol=%s procs=%u cache=%zux%zu "
-                "modules=%u shards=%u refs/proc=%llu%s\n",
+                "modules=%u refs/proc=%llu%s\n",
                 o.protocol.c_str(), procs, o.sets, o.ways, o.modules,
-                o.shards,
                 static_cast<unsigned long long>(refsPerProc),
                 reader ? " (binary trace replay)" : "");
     std::printf("%-24s %12llu\n", "cycles",
@@ -626,15 +606,6 @@ runTimed(Options o)
                 static_cast<unsigned long long>(r.netWaitCycles));
     std::printf("%-24s %12llu\n", "stolenCycles",
                 static_cast<unsigned long long>(r.stolenCycles));
-    if (o.shards > 1) {
-        std::printf("%-24s %12llu\n", "epochs",
-                    static_cast<unsigned long long>(r.epochs));
-        std::printf("%-24s %12llu\n", "inlineEpochs",
-                    static_cast<unsigned long long>(r.inlineEpochs));
-        std::printf("%-24s %12llu\n", "shardEpochsSkipped",
-                    static_cast<unsigned long long>(
-                        r.shardEpochsSkipped));
-    }
     if (hasDirStore(r.dirStore)) {
         const DirStoreCounters &d = r.dirStore;
         std::printf("%-24s %12llu\n", "dirResidentBytes",
@@ -663,7 +634,6 @@ runTimed(Options o)
         Json c = Json::object();
         c.set("section", "timed");
         c.set("procs", procs);
-        c.set("shards", o.shards);
         c.set("cycles", static_cast<unsigned long long>(r.finalTick));
         c.set("refs",
               static_cast<unsigned long long>(r.refsCompleted));
@@ -680,11 +650,6 @@ runTimed(Options o)
               static_cast<unsigned long long>(r.latencyP50));
         c.set("latencyP99",
               static_cast<unsigned long long>(r.latencyP99));
-        c.set("epochs", static_cast<unsigned long long>(r.epochs));
-        c.set("inlineEpochs",
-              static_cast<unsigned long long>(r.inlineEpochs));
-        c.set("shardEpochsSkipped",
-              static_cast<unsigned long long>(r.shardEpochsSkipped));
         if (hasDirStore(r.dirStore))
             c.set("dirStore", dirStoreJson(r.dirStore));
         if (reader)
@@ -693,19 +658,15 @@ runTimed(Options o)
             c.set("series", seriesProvenanceJson(*sampler));
         cells.push(std::move(c));
         Json params = configJson(o);
-        params.set("shards", o.shards);
         params.set("timed", true);
         params.set("think", static_cast<unsigned long long>(o.think));
-        params.set("fastForward", o.fastForward);
         Json artifact = makeSweepArtifact("dir2bsim", std::move(params),
                                           std::move(cells));
         const auto wall =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - start)
                 .count();
-        stampMeta(artifact,
-                  o.threads ? o.threads : defaultThreadCount(), wall,
-                  false);
+        stampMeta(artifact, 1, wall, false);
         writeArtifact(o.jsonPath, artifact);
         std::printf("wrote %s (1 cell)\n", o.jsonPath.c_str());
     }
@@ -734,6 +695,9 @@ main(int argc, char **argv)
         if (!o.sweepProcs.empty())
             DIR2B_FATAL("--sweep-procs does not apply to --timed: a "
                         "timed run has one processor count (--procs)");
+        if (o.threads)
+            DIR2B_FATAL("--threads does not apply to --timed: a timed "
+                        "run is one serial engine on one thread");
         return runTimed(o);
     }
 

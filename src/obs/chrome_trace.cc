@@ -29,10 +29,9 @@ writeArgs(std::ostream &os, const TraceRecorder::Event &e)
 }
 
 void
-writeEvent(std::ostream &os, const TraceRecorder::Event &e,
-           std::size_t tidBase)
+writeEvent(std::ostream &os, const TraceRecorder::Event &e)
 {
-    os << "    {\"pid\":0,\"tid\":" << tidBase + e.track << ",\"name\":";
+    os << "    {\"pid\":0,\"tid\":" << e.track << ",\"name\":";
     writeEscaped(os, e.name);
     switch (e.type) {
       case TraceRecorder::Ev::Span: {
@@ -70,16 +69,6 @@ writeTraceArtifact(std::ostream &os, const TraceRecorder &rec,
                    const std::string &bench, const Json &params,
                    const Json &summary, const Json &meta)
 {
-    writeTraceArtifact(os, std::vector<const TraceRecorder *>{&rec},
-                       bench, params, summary, meta);
-}
-
-void
-writeTraceArtifact(std::ostream &os,
-                   const std::vector<const TraceRecorder *> &recs,
-                   const std::string &bench, const Json &params,
-                   const Json &summary, const Json &meta)
-{
     os << "{\n";
     os << "  \"schema\": \"" << traceSchemaName << "\",\n";
     os << "  \"schema_version\": " << traceSchemaVersion << ",\n";
@@ -93,41 +82,20 @@ writeTraceArtifact(std::ostream &os,
 
     // Metadata events name the process and one "thread" per recorder
     // track; sort indices pin the track order to registration order.
-    // With several recorders (one per shard) the thread-id space is
-    // partitioned: shard s's track t gets tid tidBase(s) + t and a
-    // "s<s>/" name prefix, so every shard renders as its own group of
-    // Perfetto tracks.
     os << "    {\"pid\":0,\"tid\":0,\"ph\":\"M\","
           "\"name\":\"process_name\",\"args\":{\"name\":\"dir2b\"}}";
-    const bool prefixed = recs.size() > 1;
-    std::size_t tidBase = 0;
-    for (std::size_t s = 0; s < recs.size(); ++s) {
-        if (!recs[s])
-            continue;
-        const auto &tracks = recs[s]->tracks();
-        for (std::size_t t = 0; t < tracks.size(); ++t) {
-            const std::size_t tid = tidBase + t;
-            std::string name = tracks[t];
-            if (prefixed)
-                name = "s" + std::to_string(s) + "/" + name;
-            os << ",\n    {\"pid\":0,\"tid\":" << tid << ",\"ph\":\"M\","
-               << "\"name\":\"thread_name\",\"args\":{\"name\":\""
-               << Json::escape(name) << "\"}}";
-            os << ",\n    {\"pid\":0,\"tid\":" << tid << ",\"ph\":\"M\","
-               << "\"name\":\"thread_sort_index\",\"args\":"
-               << "{\"sort_index\":" << tid << "}}";
-        }
-        tidBase += tracks.size();
+    const auto &tracks = rec.tracks();
+    for (std::size_t t = 0; t < tracks.size(); ++t) {
+        os << ",\n    {\"pid\":0,\"tid\":" << t << ",\"ph\":\"M\","
+           << "\"name\":\"thread_name\",\"args\":{\"name\":\""
+           << Json::escape(tracks[t]) << "\"}}";
+        os << ",\n    {\"pid\":0,\"tid\":" << t << ",\"ph\":\"M\","
+           << "\"name\":\"thread_sort_index\",\"args\":"
+           << "{\"sort_index\":" << t << "}}";
     }
-    tidBase = 0;
-    for (std::size_t s = 0; s < recs.size(); ++s) {
-        if (!recs[s])
-            continue;
-        for (std::size_t i = 0; i < recs[s]->size(); ++i) {
-            os << ",\n";
-            writeEvent(os, recs[s]->at(i), tidBase);
-        }
-        tidBase += recs[s]->tracks().size();
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+        os << ",\n";
+        writeEvent(os, rec.at(i));
     }
     os << "\n  ],\n";
     os << "  \"meta\": ";

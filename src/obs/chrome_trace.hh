@@ -30,7 +30,6 @@
 
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/trace_recorder.hh"
 #include "report/json.hh"
@@ -52,17 +51,6 @@ constexpr int traceSchemaVersion = 1;
  *                determinism comparisons, like dir2b.sweep's meta)
  */
 void writeTraceArtifact(std::ostream &os, const TraceRecorder &rec,
-                        const std::string &bench, const Json &params,
-                        const Json &summary, const Json &meta);
-
-/**
- * Multi-recorder variant for sharded runs: recorder s's tracks render
- * as separate Perfetto tracks named "s<s>/<track>" (the prefix is
- * omitted when only one recorder is given), with thread ids offset so
- * shards never collide.  Null entries are skipped.
- */
-void writeTraceArtifact(std::ostream &os,
-                        const std::vector<const TraceRecorder *> &recs,
                         const std::string &bench, const Json &params,
                         const Json &summary, const Json &meta);
 

@@ -12,20 +12,16 @@
  *
  *  - functional tier: every N completed references;
  *  - timed tier: every N ticks, with the engine flushing boundaries
- *    only when the simulation state is exact for them — the serial
- *    engine runs the kernel in boundary-clamped chunks, the sharded
- *    engine flushes at merge-replay barriers and clamps its epoch
- *    horizon to the next boundary.  A boundary T means "every event
- *    with tick < T has executed, none at or after T has", which is
- *    the same set of events in serial and sharded execution, so the
- *    two emit **byte-identical** series.
+ *    only when the simulation state is exact for them: it runs the
+ *    kernel in boundary-clamped chunks, so a boundary T means "every
+ *    event with tick < T has executed, none at or after T has".
  *
  * Snapshots accumulate as flat rows of uint64 and serialize to a
  * versioned `dir2b.series` JSON artifact (schema below, validated by
  * tools/check_artifact, documented in docs/METRICS.md).  The artifact
  * deliberately has NO `meta` block: the whole document is a pure
- * function of the configuration, so serial-vs-sharded identity can be
- * checked with a plain byte compare.
+ * function of the configuration, so determinism can be checked with
+ * a plain byte compare (tests/test_telemetry.cc pins its digest).
  *
  * Snapshots can additionally fan out to:
  *  - a TraceRecorder (attachRecorder), rendering every metric as a
@@ -38,8 +34,7 @@
  *
  * Determinism contract (tests/test_telemetry.cc proves it): attaching
  * a sampler never perturbs simulation statistics — all golden digests
- * are bit-identical with sampling on or off, both tiers, serial and
- * sharded.
+ * are bit-identical with sampling on or off, on both tiers.
  */
 
 #ifndef DIR2B_OBS_TELEMETRY_HH
@@ -269,8 +264,8 @@ class ProgressMeter
  *   }
  *
  * No "meta" block, by design: the document is a pure function of the
- * configuration (params must therefore exclude host knobs like shard
- * or thread counts), so determinism checks are a byte compare. */
+ * configuration (params must therefore exclude host knobs like thread
+ * counts), so determinism checks are a byte compare. */
 constexpr const char *seriesSchemaName = "dir2b.series";
 constexpr int seriesSchemaVersion = 1;
 

@@ -24,14 +24,12 @@ parseBenchOptions(int argc, char **argv, const std::string &bench,
         std::printf(
             "%s\n\n"
             "usage: %s [--threads N] [--json PATH] [--quick] "
-            "[--shards N] [--dir-ram-budget BYTES]\n"
+            "[--dir-ram-budget BYTES]\n"
             "  --threads N   sweep-pool width (default: DIR2B_THREADS\n"
             "                env var, else all hardware threads)\n"
             "  --json PATH   also write the machine-readable artifact\n"
             "                (schema: docs/METRICS.md)\n"
             "  --quick       ~10x fewer references per cell; same grid\n"
-            "  --shards N    shard each timed run N ways (default 1;\n"
-            "                statistics are bit-identical either way)\n"
             "  --dir-ram-budget BYTES\n"
             "                directory RAM budget per run (K/M/G\n"
             "                suffixes; 0 = unlimited); statistics are\n"
@@ -60,11 +58,6 @@ parseBenchOptions(int argc, char **argv, const std::string &bench,
             o.jsonPath = need(i);
         } else if (arg == "--quick") {
             o.quick = true;
-        } else if (arg == "--shards") {
-            const long v = std::atol(need(i));
-            if (v <= 0)
-                DIR2B_FATAL("--shards wants a positive integer");
-            o.shards = static_cast<unsigned>(v);
         } else if (arg == "--dir-ram-budget") {
             o.dirRamBudget = parseByteSize(need(i),
                                            "--dir-ram-budget");

@@ -10,11 +10,6 @@
  *                 (docs/METRICS.md) next to the text tables
  *   --quick       shrink per-cell reference counts ~10x for smoke
  *                 runs; the *grid* (cell count) is unchanged
- *   --shards N    timed-tier engine shards per run (default 1 =
- *                 serial; N > 1 runs each timed system sharded by
- *                 directory home — bit-identical statistics, see
- *                 src/timed/sharded_system.hh).  Benches without a
- *                 timed tier accept and ignore it.
  *   --dir-ram-budget BYTES
  *                 total directory RAM budget per run (suffixes K/M/G
  *                 accepted); cold directory pages compress and spill
@@ -54,7 +49,6 @@ struct BenchOptions
     unsigned threads = 0; ///< 0 = defaultThreadCount()
     std::string jsonPath; ///< empty = no artifact
     bool quick = false;
-    unsigned shards = 1;  ///< timed-engine shards per run (1 = serial)
     std::uint64_t dirRamBudget = 0; ///< bytes; 0 = unlimited
     std::string seriesPath;           ///< empty = no series artifact
     std::uint64_t seriesInterval = 0; ///< 0 = default when sampling

@@ -44,8 +44,9 @@ namespace dir2b
  *  v3: cells produced by a TieredStore-backed directory may carry a
  *  "dirStore" object (resident/compressed/segment bytes, per-tier
  *  page counts and tier-movement counters); when present it must be
- *  complete.  Timed cells may also carry epoch accounting (epochs /
- *  inlineEpochs / shardEpochsSkipped).
+ *  complete.  Timed cells may carry legacy epoch-accounting fields
+ *  from an engine since removed; they are optional, and nothing
+ *  writes them any more.
  *  v4: cells produced by replaying a binary trace (docs/TRACES.md)
  *  may carry a "traceReplay" provenance object (records, blocks,
  *  blockRecords, mappedBytes, batched flag); when present it must be

@@ -29,16 +29,9 @@
  *    slot is verified (and, rarely, re-sorted) by sequence number
  *    before firing.
  *
- * Sharded (conservative-parallel) extensions: a sharded timed run
- * (timed/sharded_system.hh) gives every shard its own EventQueue and
- * advances them in lookahead-bounded epochs.  runUntil() executes
- * strictly below a horizon; beginEpoch() attaches an EpochLog that
- * records every schedule call and external side effect of every fired
- * event; scheduleAtKeyed() and rewriteKey() let the inter-epoch merge
- * assign the exact tie-break keys the serial engine would have used,
- * so a sharded run drains every slot in the serial FIFO order.  None
- * of these paths are active in a plain run(): serial behaviour is
- * bit-identical to the pre-shard kernel (the golden digests pin it).
+ *  - runUntil() executes strictly below a horizon and nextTickExact()
+ *    reports the earliest pending tick, so a caller (the telemetry
+ *    sampler loop of TimedSystem) can stop at exact time boundaries.
  */
 
 #ifndef DIR2B_SIM_EVENT_QUEUE_HH
@@ -51,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/shard_log.hh"
 #include "util/inline_function.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
@@ -92,34 +84,6 @@ class EventQueue
         Node &n = arena_[idx];
         n.when = when;
         n.seq = seq_++;
-        n.id = ++idSrc_;
-        n.cb = std::forward<F>(cb);
-        placeNode(idx);
-        ++pending_;
-        if (log_)
-            appendCall(EpochLog::CallKind::Schedule, 0, n.id, idx);
-    }
-
-    /**
-     * Schedule a callback under an explicit tie-break key instead of
-     * the next sequence number.  Equal-tick events still drain in
-     * ascending key order, so the inter-epoch merge of a sharded run
-     * uses this to inject cross-shard deliveries (and the initial
-     * per-processor kicks) with exactly the keys the serial engine
-     * would have assigned.  Never logged: injections happen at the
-     * barrier, outside any epoch.
-     */
-    template <typename F>
-    void
-    scheduleAtKeyed(Tick when, std::uint64_t key, F &&cb)
-    {
-        DIR2B_ASSERT(when >= now_, "scheduling event in the past: ", when,
-                     " < ", now_);
-        const std::uint32_t idx = allocNode();
-        Node &n = arena_[idx];
-        n.when = when;
-        n.seq = key;
-        n.id = ++idSrc_;
         n.cb = std::forward<F>(cb);
         placeNode(idx);
         ++pending_;
@@ -151,9 +115,9 @@ class EventQueue
     }
 
     /**
-     * Execute every pending event with when < horizon (one epoch of a
-     * sharded run).  now() never advances to or beyond the horizon, so
-     * a barrier may afterwards inject events at any tick >= horizon.
+     * Execute every pending event with when < horizon.  now() never
+     * advances to or beyond the horizon, so the caller may afterwards
+     * observe the state exactly at the boundary.
      * @return false when the budget ran out before the horizon.
      */
     bool
@@ -169,33 +133,12 @@ class EventQueue
     }
 
     /**
-     * A lower bound on the when of the earliest pending event (exact
-     * when that event sits in level 0 or the overflow heap; a bucket
-     * start otherwise); maxTick when the queue is empty.  Lookahead
-     * horizons derive from the global minimum of these bounds — a
-     * bound that is merely low costs a shorter epoch, never an order
-     * violation.
-     */
-    Tick
-    nextTickLowerBound() const
-    {
-        if (pending_ == 0)
-            return maxTick;
-        return minCandidate().when;
-    }
-
-    /**
      * The *exact* when of the earliest pending event (maxTick when the
-     * queue is empty).  Where nextTickLowerBound() reports only a
-     * bucket start for events sitting in level >= 1, this walks the
-     * candidate buckets' node lists and returns the true minimum —
-     * the quiescent-epoch fast-forward of the sharded engine uses it
-     * to jump an idle gap in one epoch instead of refining bucket
-     * bounds across several.  Cost is bounded by the nodes in buckets
-     * whose start beats the best exact candidate: on the sparse runs
-     * where fast-forward matters, that is a handful of nodes; on dense
-     * runs the level-0 candidate wins immediately and no list is
-     * walked.
+     * queue is empty).  A level >= 1 bucket's start is only a lower
+     * bound on its contents, so this walks the node lists of the
+     * candidate buckets whose start beats the best exact candidate
+     * and returns the true minimum.  On dense runs the level-0
+     * candidate wins immediately and no list is walked.
      */
     Tick
     nextTickExact() const
@@ -238,65 +181,6 @@ class EventQueue
         return best;
     }
 
-    /** Start logging an epoch: every schedule call and external side
-     *  effect of every fired event is appended to log; freshly
-     *  scheduled events draw provisional keys from keyBase up. */
-    void
-    beginEpoch(EpochLog *log, std::uint64_t keyBase)
-    {
-        DIR2B_ASSERT(log != nullptr, "beginEpoch without a log");
-        log_ = log;
-        seq_ = keyBase;
-        curId_ = 0;
-    }
-
-    /** Stop epoch logging (the barrier owns the log afterwards). */
-    void
-    endEpoch()
-    {
-        log_ = nullptr;
-    }
-
-    /** Record an external side effect (network send, oracle
-     *  completion) of the currently executing event; aux indexes the
-     *  caller's own side-effect table. */
-    void
-    logExternalCall(std::uint32_t aux)
-    {
-        appendCall(EpochLog::CallKind::External, aux, 0, nil);
-    }
-
-    /**
-     * Replace a pending node's tie-break key with the final key the
-     * serial engine would have assigned.  A no-op when the node
-     * already fired (its arena slot was freed or reused: the unique id
-     * no longer matches).  Callers must rebuildOverflowHeap() after a
-     * batch of rewrites, since keys order the overflow heap.
-     */
-    bool
-    rewriteKey(std::uint32_t nodeIdx, std::uint64_t id, std::uint64_t key)
-    {
-        if (nodeIdx >= arena_.size())
-            return false;
-        Node &n = arena_[nodeIdx];
-        if (n.id != id)
-            return false;
-        n.seq = key;
-        return true;
-    }
-
-    /** Restore the overflow-heap invariant after rewriteKey calls. */
-    void
-    rebuildOverflowHeap()
-    {
-        if (over_.size() > 1) {
-            std::make_heap(over_.begin(), over_.end(),
-                           [this](std::uint32_t a, std::uint32_t b) {
-                               return laterThan(a, b);
-                           });
-        }
-    }
-
     /** Drop all pending events (end of a run). */
     void
     reset()
@@ -313,9 +197,6 @@ class EventQueue
         seq_ = 0;
         executed_ = 0;
         pending_ = 0;
-        log_ = nullptr;
-        idSrc_ = 0;
-        curId_ = 0;
     }
 
   private:
@@ -331,9 +212,6 @@ class EventQueue
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        /** Unique per schedule call, 0 while free: lets rewriteKey
-         *  reject a slot that was freed or reused since logging. */
-        std::uint64_t id = 0;
         std::uint32_t next = nil;
         Callback cb;
     };
@@ -362,25 +240,8 @@ class EventQueue
     void
     freeNode(std::uint32_t idx)
     {
-        arena_[idx].id = 0;
         arena_[idx].next = freeHead_;
         freeHead_ = idx;
-    }
-
-    /** Append a call record for the currently executing event. */
-    void
-    appendCall(EpochLog::CallKind kind, std::uint32_t aux,
-               std::uint64_t childId, std::uint32_t nodeIdx)
-    {
-        DIR2B_ASSERT(log_ && curId_ != 0,
-                     "epoch log call outside an executing event");
-        if (log_->execs.empty() || log_->execs.back().id != curId_) {
-            log_->execs.push_back(
-                {now_, curKey_, curId_,
-                 static_cast<std::uint32_t>(log_->calls.size()), 0});
-        }
-        log_->calls.push_back({kind, aux, nodeIdx, childId});
-        ++log_->execs.back().numCalls;
     }
 
     /**
@@ -518,12 +379,11 @@ class EventQueue
      * and re-evaluated rather than executed, so a level-0 jump can
      * never skip over an earlier event hiding in a bucket.
      *
-     * Bounded (the sharded epoch path): returns false — with now_
-     * strictly below the horizon — as soon as the candidate minimum
-     * reaches the horizon.  Cascades performed before that point only
-     * refine bucket bounds, so nextTickLowerBound() grows across
-     * epochs and the epoch loop always makes progress.  Returns true
-     * when positioned on a drainable level-0 slot.
+     * Bounded (runUntil): returns false — with now_ strictly below
+     * the horizon — as soon as the candidate minimum reaches the
+     * horizon.  Cascades performed before that point only refine
+     * bucket bounds.  Returns true when positioned on a drainable
+     * level-0 slot.
      */
     template <bool Bounded>
     bool
@@ -605,10 +465,6 @@ class EventQueue
                 }
                 --budget;
                 const std::uint32_t idx = scratch_[i];
-                if (log_) {
-                    curId_ = arena_[idx].id;
-                    curKey_ = arena_[idx].seq;
-                }
                 Callback cb = std::move(arena_[idx].cb);
                 freeNode(idx);
                 --pending_;
@@ -650,12 +506,6 @@ class EventQueue
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t pending_ = 0;
-
-    /** Epoch-mode state (null/idle during a plain serial run). */
-    EpochLog *log_ = nullptr;
-    std::uint64_t idSrc_ = 0;
-    std::uint64_t curId_ = 0;
-    std::uint64_t curKey_ = 0;
 };
 
 } // namespace dir2b

@@ -88,7 +88,7 @@ class Histogram
 
     /**
      * Fold another histogram of identical geometry (bucket width and
-     * count) into this one — cross-shard / cross-controller
+     * count) into this one — cross-cache / cross-controller
      * aggregation for sweep summaries.  Panics on geometry mismatch.
      */
     void merge(const Histogram &other);

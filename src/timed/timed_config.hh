@@ -96,13 +96,6 @@ struct TimedConfig
      *  Results are bit-identical at any budget. */
     std::uint64_t dirRamBudget = 0;
 
-    /** Quiescent-epoch fast-forward in the sharded engine: use exact
-     *  next-event bounds to jump idle gaps and run single-active-shard
-     *  epochs inline instead of through the worker gang.  Pure
-     *  wall-clock optimisation — statistics are bit-identical either
-     *  way; off exists only for A/B measurement. */
-    bool fastForward = true;
-
     /**
      * Optional trace recorder (src/obs).  When non-null and the build
      * compiles instrumentation (DIR2B_TRACE), every controller and the
@@ -115,11 +108,9 @@ struct TimedConfig
     /**
      * Optional time-series sampler (obs/telemetry.hh).  When non-null
      * the engine registers the timed metric set in its registry and
-     * snapshots it every sampler->interval() ticks, at points where
-     * the simulation state is exact for the boundary — the serial
-     * engine between kernel chunks, the sharded engine at merge-replay
-     * barriers — so serial and sharded runs emit byte-identical
-     * series.  Sampling never perturbs simulation statistics.
+     * snapshots it every sampler->interval() ticks, between kernel
+     * chunks, where the simulation state is exact for the boundary.
+     * Sampling never perturbs simulation statistics.
      */
     TelemetrySampler *sampler = nullptr;
 };

@@ -45,39 +45,15 @@ class TimedNetwork
     TimedNetwork(EventQueue &eq, unsigned endpoints, Tick latency,
                  NetKind kind, TraceRecorder *trc = nullptr);
 
-    /** Virtual so a sharded run can substitute a deferring proxy
-     *  (timed/shard_net.hh) without touching the controllers. */
-    virtual ~TimedNetwork() = default;
-
     /** Register the receiver of endpoint ep. */
     void connect(unsigned ep, Handler handler);
 
     /** Send one message; delivered after the network latency. */
-    virtual void send(unsigned src, unsigned dst, Message msg);
+    void send(unsigned src, unsigned dst, Message msg);
 
     /** Fan a message out to every listed destination. */
-    virtual void broadcast(unsigned src,
-                           const std::vector<unsigned> &dsts,
-                           Message msg);
-
-    /**
-     * Claim transmission capacity for a message sent at sentAt;
-     * returns the delivery tick and accrues contention statistics.
-     * The serial send path calls this with sentAt = now(); the
-     * sharded barrier replays the epoch's sends through it in serial
-     * order against a shared replay instance, so port and bus
-     * contention resolve exactly as in a serial run.
-     */
-    Tick claimDeliveryAt(unsigned dst, Tick sentAt);
-
-    /** Invoke dst's handler directly (a replayed delivery firing). */
-    void
-    deliver(unsigned src, unsigned dst, const Message &msg)
-    {
-        DIR2B_ASSERT(dst < handlers_.size() && handlers_[dst],
-                     "deliver to unconnected endpoint ", dst);
-        handlers_[dst](src, msg);
-    }
+    void broadcast(unsigned src, const std::vector<unsigned> &dsts,
+                   Message msg);
 
     std::uint64_t messagesSent() const { return messages_.value(); }
     std::uint64_t broadcastsSent() const { return broadcasts_.value(); }
@@ -89,7 +65,11 @@ class TimedNetwork
     /** Bus occupancy in cycles (Bus kind only). */
     std::uint64_t busBusyCycles() const { return busBusy_.value(); }
 
-  protected:
+  private:
+    /** Claim transmission capacity for a message sent at sentAt;
+     *  returns the delivery tick and accrues contention statistics. */
+    Tick claimDeliveryAt(unsigned dst, Tick sentAt);
+
     EventQueue &eq_;
     Tick latency_;
     NetKind kind_;

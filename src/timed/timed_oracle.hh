@@ -25,12 +25,11 @@
  * per-block grant order of the serialising controller.
  *
  * The minted-value contract: every value a processor writes comes
- * from encode(nonce) for a nonce of its own, either through
- * freshValue() or, for an engine that mints outside the oracle, an
- * encode() call plus noteMinted().  Values are nonce * K + 1 with K
- * odd, so decode() recovers the nonce with one multiply and the
- * oracle keeps each write's block and version in a dense table
- * indexed by nonce: no per-block history map, no hashing of values.
+ * from freshValue(), i.e. encode(nonce) for a fresh nonce.  Values
+ * are nonce * K + 1 with K odd, so decode() recovers the nonce with
+ * one multiply and the oracle keeps each write's block and version in
+ * a dense table indexed by nonce: no per-block history map, no
+ * hashing of values.
  * A completed write whose value decodes outside the minted range
  * panics, and so does a read whose value decodes to an unminted or
  * not yet completed write, or to a write of another block (check 1).
@@ -39,7 +38,6 @@
 #ifndef DIR2B_TIMED_TIMED_ORACLE_HH
 #define DIR2B_TIMED_TIMED_ORACLE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -85,13 +83,6 @@ class TimedOracle
     freshValue()
     {
         return encode(++minted_);
-    }
-
-    /** Nonces up to 'nonce' have been minted outside freshValue(). */
-    void
-    noteMinted(std::uint64_t nonce)
-    {
-        minted_ = std::max(minted_, nonce);
     }
 
     /** A write of v to block a completed at processor p. */

@@ -65,14 +65,6 @@ struct TimedRunResult
     /** Tiered directory-storage counters (two-bit scheme; zeros for
      *  schemes whose directory is not the tiered 2-bit map). */
     DirStoreCounters dirStore;
-    /** Sharded-engine epoch accounting (zeros for a serial run). */
-    std::uint64_t epochs = 0;
-    /** Epochs with one active shard, run inline on the caller thread
-     *  by the quiescent-epoch fast-forward. */
-    std::uint64_t inlineEpochs = 0;
-    /** Shard-epochs skipped because the shard's exact next-event
-     *  bound was at or beyond the horizon. */
-    std::uint64_t shardEpochsSkipped = 0;
 };
 
 /** A complete timed two-bit multiprocessor. */
@@ -138,6 +130,16 @@ class TimedSystem : private CompletionSink
     void issueNext(ProcId p);
     /** Check a completion against the oracle; schedule the next. */
     void onComplete(const MemRef &ref, Value v) override;
+
+    /**
+     * Final conservation pass at quiesce: at most one dirty copy per
+     * block, clean copies equal memory, and every written block ends
+     * at the newest version the oracle recorded.
+     */
+    void auditFinalState() const;
+
+    /** Fold per-component statistics into a TimedRunResult. */
+    TimedRunResult aggregateResult() const;
 
     TimedConfig cfg_;
     EventQueue eq_;

@@ -64,68 +64,33 @@ registerTimedMetrics(MetricRegistry &reg, const TimedTelemetryView &v)
 
     // Progress: completed references (ProgressMeter reads this name).
     reg.add("refs.completed", counter,
-            +[](const void *c) {
-                std::uint64_t s = 0;
-                for (const std::uint64_t *p : view(c).completed)
-                    s += *p;
-                return s;
-            },
-            ctx);
+            +[](const void *c) { return *view(c).completed; }, ctx);
 
     // Event-kernel occupancy.
     reg.add("kernel.executed", counter,
-            +[](const void *c) {
-                std::uint64_t s = 0;
-                for (const EventQueue *q : view(c).queues)
-                    s += q->executed();
-                return s;
-            },
+            +[](const void *c) { return view(c).queue->executed(); },
             ctx);
     reg.add("kernel.pending", gauge,
             +[](const void *c) {
-                std::uint64_t s = 0;
-                for (const EventQueue *q : view(c).queues)
-                    s += q->pending();
-                return s;
+                return std::uint64_t{view(c).queue->pending()};
             },
             ctx);
 
-    // Network utilisation.  Message counts sum over the per-engine
-    // networks; contention cycles come from the single network that
-    // owns them.
+    // Network utilisation.
     reg.add("net.messages", counter,
-            +[](const void *c) {
-                std::uint64_t s = 0;
-                for (const TimedNetwork *n : view(c).nets)
-                    s += n->messagesSent();
-                return s;
-            },
+            +[](const void *c) { return view(c).net->messagesSent(); },
             ctx);
     reg.add("net.broadcasts", counter,
-            +[](const void *c) {
-                std::uint64_t s = 0;
-                for (const TimedNetwork *n : view(c).nets)
-                    s += n->broadcastsSent();
-                return s;
-            },
+            +[](const void *c) { return view(c).net->broadcastsSent(); },
             ctx);
     reg.add("net.data_messages", counter,
-            +[](const void *c) {
-                std::uint64_t s = 0;
-                for (const TimedNetwork *n : view(c).nets)
-                    s += n->dataMessages();
-                return s;
-            },
+            +[](const void *c) { return view(c).net->dataMessages(); },
             ctx);
     reg.add("net.port_wait_cycles", counter,
-            +[](const void *c) {
-                return view(c).contention->portWaitCycles();
-            },
+            +[](const void *c) { return view(c).net->portWaitCycles(); },
             ctx);
     reg.add("net.bus_busy_cycles", counter,
-            +[](const void *c) {
-                return view(c).contention->busBusyCycles();
-            },
+            +[](const void *c) { return view(c).net->busBusyCycles(); },
             ctx);
 
     // Per-cache protocol activity (summed over caches).

@@ -2,17 +2,10 @@
  * @file
  * Timed-tier metric registration for the telemetry sampler.
  *
- * Both timed engines expose the same components — caches, directory
- * controllers, event kernel(s), network(s) — just in different
- * multiplicities: the serial TimedSystem has one kernel and one
- * network, the sharded engine one of each per shard plus the shared
- * replay network that owns contention state.  TimedTelemetryView
- * normalises that difference into pointer lists, and
- * registerTimedMetrics() registers ONE metric set (same names, same
- * order) whose probes sum across the lists — which is why a serial
- * and a sharded run emit byte-identical series: at every sampling
- * boundary both have executed exactly the events with tick below the
- * boundary, so every summed counter agrees.
+ * TimedTelemetryView borrows the components of a TimedSystem — its
+ * caches, directory controllers, event kernel and network — and
+ * registerTimedMetrics() registers one fixed metric set (names and
+ * order listed in docs/METRICS.md) whose probes read through it.
  */
 
 #ifndef DIR2B_TIMED_TIMED_TELEMETRY_HH
@@ -43,16 +36,10 @@ struct TimedTelemetryView
         nullptr;
     /** Flat controller table in module order. */
     const std::vector<std::unique_ptr<TimedDirCtrl>> *dirs = nullptr;
-    /** Every event kernel (one serial; one per shard sharded). */
-    std::vector<const EventQueue *> queues;
-    /** Every message-counting network (shard nets count sends at
-     *  send time, so their sums match the serial network). */
-    std::vector<const TimedNetwork *> nets;
-    /** The network that owns contention state (port wait / bus busy):
-     *  the one network serially, the replay network sharded. */
-    const TimedNetwork *contention = nullptr;
-    /** Per-engine completed-reference counters. */
-    std::vector<const std::uint64_t *> completed;
+    const EventQueue *queue = nullptr;
+    const TimedNetwork *net = nullptr;
+    /** Completed-reference counter. */
+    const std::uint64_t *completed = nullptr;
 };
 
 /** Register the timed metric set (docs/METRICS.md) against `view`.

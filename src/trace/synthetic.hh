@@ -93,8 +93,7 @@ class SyntheticStream : public RefStream
     /**
      * Generate the next reference for a specific processor.  All
      * mutable state is per-processor, so concurrent calls for
-     * DISTINCT processors are safe (the sharded timed engine issues
-     * from one thread per shard).
+     * DISTINCT processors are safe.
      */
     MemRef nextFor(ProcId p);
 

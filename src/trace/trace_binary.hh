@@ -303,8 +303,7 @@ class MmapTraceStream : public RefStream
  * processor p's subsequence of the merged trace, in trace order.
  * Each cursor only mutates its own state over the shared read-only
  * mapping, so concurrent next() calls for DISTINCT processors are
- * safe — exactly the contract SyntheticStream::nextFor gives the
- * sharded engine.
+ * safe — the same contract SyntheticStream::nextFor gives.
  */
 class TraceProcSource
 {

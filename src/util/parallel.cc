@@ -203,106 +203,6 @@ parallelFor(std::size_t begin, std::size_t end,
         std::rethrow_exception(err);
 }
 
-ShardGang::ShardGang(unsigned width)
-    : width_(width ? width : defaultThreadCount())
-{
-    if (width_ < 1)
-        width_ = 1;
-    workers_.reserve(width_ - 1);
-    for (unsigned i = 0; i + 1 < width_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ShardGang::~ShardGang()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stopping_ = true;
-    }
-    start_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ShardGang::run(unsigned tasks, const std::function<void(unsigned)> &fn)
-{
-    if (tasks == 0)
-        return;
-    if (workers_.empty()) {
-        // Single-width gang: no rendezvous, no atomics — the epoch
-        // loop of a 1-worker sharded run is an ordinary loop.
-        for (unsigned i = 0; i < tasks; ++i)
-            fn(i);
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        fn_ = &fn;
-        tasks_ = tasks;
-        next_.store(0, std::memory_order_relaxed);
-        running_ = static_cast<unsigned>(workers_.size());
-        ++generation_;
-    }
-    start_.notify_all();
-    drain(); // the caller is a worker too
-    std::exception_ptr err;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        done_.wait(lock, [this] { return running_ == 0; });
-        fn_ = nullptr;
-        err = firstError_;
-        firstError_ = nullptr;
-    }
-    if (err)
-        std::rethrow_exception(err);
-}
-
-void
-ShardGang::drain()
-{
-    for (;;) {
-        const unsigned i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks_)
-            return;
-        try {
-            (*fn_)(i);
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                if (!firstError_)
-                    firstError_ = std::current_exception();
-            }
-            next_.store(tasks_, std::memory_order_relaxed);
-            return;
-        }
-    }
-}
-
-void
-ShardGang::workerLoop()
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            start_.wait(lock, [&] {
-                return stopping_ || generation_ != seen;
-            });
-            if (stopping_)
-                return;
-            seen = generation_;
-        }
-        drain();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --running_;
-        }
-        done_.notify_all();
-    }
-}
-
 Rng
 taskRng(std::uint64_t seed, std::uint64_t task)
 {

@@ -30,7 +30,6 @@
 #ifndef DIR2B_UTIL_PARALLEL_HH
 #define DIR2B_UTIL_PARALLEL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -127,60 +126,6 @@ void parallelFor(std::size_t begin, std::size_t end,
  * Pure function of (seed, task) — identical at any thread count.
  */
 Rng taskRng(std::uint64_t seed, std::uint64_t task);
-
-/**
- * Persistent worker gang for the sharded timed run's epoch loop.
- *
- * A sharded run calls run() once per epoch — typically tens of
- * thousands of times — so unlike ThreadPool the workers are spawned
- * once and reused, and each run() is a plain generation-counter
- * rendezvous: the caller bumps the generation, participates in the
- * work itself, and returns only after every worker has finished its
- * share.  Shards self-schedule off an atomic counter (any assignment
- * is fine: each shard's state is touched by exactly one thread per
- * epoch, and the mutex hand-offs order epoch k's work before the
- * barrier merge and the merge before epoch k+1).
- *
- * With width 1 (the default on a single-core host) run() executes
- * inline on the caller with zero synchronisation, so a 1-worker
- * sharded run pays no threading tax.
- */
-class ShardGang
-{
-  public:
-    /** @param width total workers including the caller (0 = min of
-     *  defaultThreadCount() and the task count of the first run). */
-    explicit ShardGang(unsigned width);
-    ~ShardGang();
-
-    ShardGang(const ShardGang &) = delete;
-    ShardGang &operator=(const ShardGang &) = delete;
-
-    /** Run fn(i) for every i in [0, tasks); blocks until all done.
-     *  Rethrows the first exception any body raised. */
-    void run(unsigned tasks, const std::function<void(unsigned)> &fn);
-
-    /** Total workers, including the calling thread. */
-    unsigned width() const { return width_; }
-
-  private:
-    void workerLoop();
-    void drain();
-
-    unsigned width_ = 1;
-    std::vector<std::thread> workers_;
-
-    std::mutex mu_;
-    std::condition_variable start_;
-    std::condition_variable done_;
-    std::uint64_t generation_ = 0;
-    unsigned running_ = 0;
-    bool stopping_ = false;
-    const std::function<void(unsigned)> *fn_ = nullptr;
-    unsigned tasks_ = 0;
-    std::atomic<unsigned> next_{0};
-    std::exception_ptr firstError_;
-};
 
 } // namespace dir2b
 

@@ -289,5 +289,66 @@ TEST(EventQueue, HotPathCapturesStayInline)
     EXPECT_EQ(EventQueue::Callback::heapFallbacks(), before);
 }
 
+TEST(EventQueue, RunUntilStopsStrictlyBelowHorizon)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    eq.scheduleAt(1, [&] { fired.push_back(1); });
+    eq.scheduleAt(4, [&] { fired.push_back(4); });
+    eq.scheduleAt(5, [&] { fired.push_back(5); });
+
+    std::uint64_t budget = 100;
+    EXPECT_TRUE(eq.runUntil(5, budget));
+    EXPECT_EQ(fired, (std::vector<Tick>{1, 4}));
+    EXPECT_EQ(eq.nextTickExact(), 5u);
+
+    EXPECT_TRUE(eq.runUntil(6, budget));
+    EXPECT_EQ(fired, (std::vector<Tick>{1, 4, 5}));
+    EXPECT_EQ(eq.nextTickExact(), maxTick);
+    EXPECT_EQ(eq.now(), 5u);
+}
+
+TEST(EventQueue, RunUntilReportsBudgetExhaustion)
+{
+    EventQueue eq;
+    for (int i = 0; i < 4; ++i)
+        eq.scheduleAt(1, [] {});
+    std::uint64_t budget = 2;
+    EXPECT_FALSE(eq.runUntil(10, budget));
+    EXPECT_EQ(eq.executed(), 2u);
+}
+
+TEST(EventQueue, NextTickExactSeesIntoBuckets)
+{
+    // From now() == 0: ticks in [64, 4096) file into level 1, ticks in
+    // [2^18, 2^24) into level 3 and ticks >= 2^24 into the overflow
+    // heap.  A bucket's start (64, 2^18) is only a lower bound on its
+    // contents; nextTickExact() must report the true earliest tick.
+    EventQueue eq;
+    const Tick overflowTick = (Tick{1} << 24) + 12345;
+    const Tick level3Tick = (Tick{1} << 18) + 777;
+    eq.scheduleAt(overflowTick, [] {});
+    EXPECT_EQ(eq.nextTickExact(), overflowTick);
+
+    eq.scheduleAt(level3Tick, [] {});
+    EXPECT_EQ(eq.nextTickExact(), level3Tick);
+
+    // Two events in one level-1 bucket, the later one first in its
+    // list: the minimum over the list, not the head, wins.
+    eq.scheduleAt(100, [] {});
+    eq.scheduleAt(70, [] {});
+    EXPECT_EQ(eq.nextTickExact(), 70u);
+
+    std::uint64_t budget = 100;
+    EXPECT_TRUE(eq.runUntil(101, budget));
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.nextTickExact(), level3Tick);
+    EXPECT_TRUE(eq.runUntil(level3Tick + 1, budget));
+    EXPECT_EQ(eq.nextTickExact(), overflowTick);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(eq.now(), overflowTick);
+    EXPECT_EQ(eq.nextTickExact(), maxTick);
+}
+
 } // namespace
 } // namespace dir2b

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 
-#include "timed/sharded_system.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 
@@ -40,20 +39,12 @@ fold(std::uint64_t h, std::uint64_t x)
 }
 
 std::uint64_t digestStats(const TimedRunResult &r,
-                          const TwoBitCacheCtrl *const *caches,
-                          const TimedDirCtrl *const *dirs,
-                          const TimedConfig &cfg);
+                          const TimedSystem &sys);
 
-/**
- * Run one fixed-seed timed configuration and digest its statistics.
- * shards == 1 runs the serial TimedSystem; shards > 1 runs the
- * ShardedTimedSystem, which must produce the SAME digest (the sharded
- * engine's determinism contract is bit-identity with serial).
- */
+/** Run one fixed-seed timed configuration and digest its statistics. */
 std::uint64_t
 digestRun(TimedProto proto, bool perBlock, NetKind net,
-          unsigned shards = 1, std::uint64_t dirRamBudget = 0,
-          bool fastForward = true)
+          std::uint64_t dirRamBudget = 0)
 {
     TimedConfig cfg;
     cfg.protocol = proto;
@@ -64,7 +55,6 @@ digestRun(TimedProto proto, bool perBlock, NetKind net,
     cfg.perBlockConcurrency = perBlock;
     cfg.network = net;
     cfg.dirRamBudget = dirRamBudget;
-    cfg.fastForward = fastForward;
 
     SyntheticConfig scfg;
     scfg.numProcs = 4;
@@ -75,35 +65,20 @@ digestRun(TimedProto proto, bool perBlock, NetKind net,
     scfg.hotBlocks = 16;
     scfg.seed = 0xd16e57;
     SyntheticStream stream(scfg);
-    const ProcSource src = [&](ProcId p) -> std::optional<MemRef> {
-        return stream.nextFor(p);
-    };
 
-    TimedRunResult r;
-    const TwoBitCacheCtrl *cacheTab[4] = {};
-    const TimedDirCtrl *dirTab[2] = {};
-    if (shards <= 1) {
-        TimedSystem sys(cfg);
-        r = sys.run(src, 400);
-        for (ProcId p = 0; p < cfg.numProcs; ++p)
-            cacheTab[p] = &sys.cacheCtrl(p);
-        for (ModuleId m = 0; m < cfg.numModules; ++m)
-            dirTab[m] = &sys.dirCtrl(m);
-        return digestStats(r, cacheTab, dirTab, cfg);
-    }
-    ShardedTimedSystem sys(cfg, shards);
-    r = sys.run(src, 400);
-    for (ProcId p = 0; p < cfg.numProcs; ++p)
-        cacheTab[p] = &sys.cacheCtrl(p);
-    for (ModuleId m = 0; m < cfg.numModules; ++m)
-        dirTab[m] = &sys.dirCtrl(m);
-    return digestStats(r, cacheTab, dirTab, cfg);
+    TimedSystem sys(cfg);
+    const TimedRunResult r = sys.run(
+        [&](ProcId p) -> std::optional<MemRef> {
+            return stream.nextFor(p);
+        },
+        400);
+    return digestStats(r, sys);
 }
 
 std::uint64_t
-digestStats(const TimedRunResult &r, const TwoBitCacheCtrl *const *caches,
-            const TimedDirCtrl *const *dirs, const TimedConfig &cfg)
+digestStats(const TimedRunResult &r, const TimedSystem &sys)
 {
+    const TimedConfig &cfg = sys.config();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     h = fold(h, r.finalTick);
     h = fold(h, r.refsCompleted);
@@ -121,7 +96,7 @@ digestStats(const TimedRunResult &r, const TwoBitCacheCtrl *const *caches,
     h = fold(h, r.writesRecorded);
 
     for (ProcId p = 0; p < cfg.numProcs; ++p) {
-        const auto &s = caches[p]->stats();
+        const auto &s = sys.cacheCtrl(p).stats();
         h = fold(h, s.readHits.value());
         h = fold(h, s.writeHits.value());
         h = fold(h, s.readMisses.value());
@@ -133,7 +108,7 @@ digestStats(const TimedRunResult &r, const TwoBitCacheCtrl *const *caches,
         h = fold(h, s.writebacksSent.value());
     }
     for (ModuleId m = 0; m < cfg.numModules; ++m) {
-        const auto &s = dirs[m]->stats();
+        const auto &s = sys.dirCtrl(m).stats();
         h = fold(h, s.requests.value());
         h = fold(h, s.mrequests.value());
         h = fold(h, s.ejectsData.value());
@@ -197,53 +172,18 @@ TEST(GoldenDigest, RepeatedRunsAreIdentical)
     EXPECT_EQ(a, b);
 }
 
-// The sharded engine's headline property: at --shards=4 every locked
-// cross-scheme digest must still come out bit-identical — parallel
-// decomposition is not allowed to perturb a single statistic.
-TEST(GoldenDigest, ShardedRunsMatchCheckedInDigests)
-{
-    for (const auto &c : goldenCases) {
-        const std::uint64_t got =
-            digestRun(c.proto, c.perBlock, c.net, /*shards=*/4);
-        EXPECT_EQ(got, c.digest)
-            << c.name << " (shards=4): digest 0x" << std::hex << got
-            << " != golden 0x" << c.digest;
-    }
-}
-
 // The tiered directory store must be invisible to every statistic: a
 // RAM budget of one 1 KiB page per module forces constant
 // compress/evict/reload traffic through the cold (and, where
-// available, disk) tiers, and every locked digest must still match —
-// serial and sharded.
+// available, disk) tiers, and every locked digest must still match.
 TEST(GoldenDigest, TinyDirBudgetMatchesCheckedInDigests)
 {
     for (const auto &c : goldenCases) {
-        const std::uint64_t serial = digestRun(
-            c.proto, c.perBlock, c.net, 1, /*dirRamBudget=*/2048);
-        EXPECT_EQ(serial, c.digest)
-            << c.name << " (tiny budget): digest 0x" << std::hex
-            << serial << " != golden 0x" << c.digest;
-        const std::uint64_t sharded = digestRun(
-            c.proto, c.perBlock, c.net, 4, /*dirRamBudget=*/2048);
-        EXPECT_EQ(sharded, c.digest)
-            << c.name << " (tiny budget, shards=4): digest 0x"
-            << std::hex << sharded << " != golden 0x" << c.digest;
-    }
-}
-
-// Quiescent-epoch fast-forward is a pure wall-clock optimisation of
-// the sharded epoch loop; with it disabled the digests must be the
-// same bits — this is the A/B knob BENCH_7 measures.
-TEST(GoldenDigest, FastForwardOffMatchesCheckedInDigests)
-{
-    for (const auto &c : goldenCases) {
-        const std::uint64_t got =
-            digestRun(c.proto, c.perBlock, c.net, 4, 0,
-                      /*fastForward=*/false);
+        const std::uint64_t got = digestRun(c.proto, c.perBlock, c.net,
+                                            /*dirRamBudget=*/2048);
         EXPECT_EQ(got, c.digest)
-            << c.name << " (shards=4, no ff): digest 0x" << std::hex
-            << got << " != golden 0x" << c.digest;
+            << c.name << " (tiny budget): digest 0x" << std::hex << got
+            << " != golden 0x" << c.digest;
     }
 }
 

@@ -3,8 +3,8 @@
  * Unit tests for the time-series telemetry layer (obs/telemetry.hh):
  * registry semantics, sampler boundary conditions, the dir2b.series
  * artifact + validator, and the tentpole guarantees — sampling never
- * perturbs simulation statistics (both tiers, serial and sharded),
- * and serial vs sharded runs emit byte-identical series.
+ * perturbs simulation statistics (both tiers), and the bytes of a
+ * timed series artifact are pinned.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "report/report.hh"
 #include "system/func_system.hh"
 #include "system/func_telemetry.hh"
-#include "timed/sharded_system.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 
@@ -273,7 +272,7 @@ TEST(Fixtures, SweepSeriesProvenanceGatesOnSchemaV5)
 }
 
 // ---------------------------------------------------------------------
-// Do-no-harm + serial/sharded identity on the timed tier.
+// Do-no-harm + pinned series bytes on the timed tier.
 // ---------------------------------------------------------------------
 
 std::uint64_t
@@ -332,56 +331,62 @@ digestTimedResult(const TimedRunResult &r)
     return h;
 }
 
-/** Run the fixed workload on either engine, optionally sampled. */
+/** Run the fixed workload, optionally sampled. */
 std::uint64_t
-timedDigest(TimedProto proto, unsigned shards,
-            TelemetrySampler *sampler)
+timedDigest(TimedProto proto, TelemetrySampler *sampler)
 {
     const TimedConfig cfg = timedConfig(proto, sampler);
     SyntheticStream stream(timedWorkload());
-    auto src = [&](ProcId p) -> std::optional<MemRef> {
-        return stream.nextFor(p);
-    };
-    if (shards <= 1) {
-        TimedSystem sys(cfg);
-        return digestTimedResult(sys.run(src, 400));
-    }
-    ShardedTimedSystem sys(cfg, shards);
-    return digestTimedResult(sys.run(src, 400));
+    TimedSystem sys(cfg);
+    return digestTimedResult(sys.run(
+        [&](ProcId p) -> std::optional<MemRef> {
+            return stream.nextFor(p);
+        },
+        400));
 }
 
 TEST(DoNoHarm, TimedSamplingOnAndOffProduceIdenticalDigests)
 {
     for (TimedProto proto : {TimedProto::TwoBit, TimedProto::FullMap,
                              TimedProto::YenFu}) {
-        for (unsigned shards : {1u, 4u}) {
-            const auto off = timedDigest(proto, shards, nullptr);
-            TelemetrySampler s(SeriesDomain::Ticks, 512);
-            const auto on = timedDigest(proto, shards, &s);
-            EXPECT_EQ(on, off)
-                << "sampler perturbed the simulation (shards="
-                << shards << ")";
-            EXPECT_GT(s.samples(), 0u);
-        }
+        const auto off = timedDigest(proto, nullptr);
+        TelemetrySampler s(SeriesDomain::Ticks, 512);
+        const auto on = timedDigest(proto, &s);
+        EXPECT_EQ(on, off) << "sampler perturbed the simulation";
+        EXPECT_GT(s.samples(), 0u);
     }
 }
 
-TEST(Identity, SerialAndShardedEmitByteIdenticalSeries)
+// The bytes of the dir2b.series artifact are part of the determinism
+// contract: metric names, order, sampling boundaries and every sampled
+// value.  These FNV-1a digests of the serialized artifact pin them.
+TEST(Identity, TimedSeriesBytesMatchPinnedDigests)
 {
-    for (std::uint64_t interval : {64u, 512u, 1000000u}) {
-        TelemetrySampler serial(SeriesDomain::Ticks, interval);
-        TelemetrySampler sharded(SeriesDomain::Ticks, interval);
-        timedDigest(TimedProto::TwoBit, 1, &serial);
-        timedDigest(TimedProto::TwoBit, 4, &sharded);
+    const struct
+    {
+        std::uint64_t interval;
+        std::uint64_t digest;
+    } pinned[] = {
+        {64, 0x9b5f663156b3d916ULL},
+        {512, 0xcc8dc4b1c963cabcULL},
+        {1000000, 0xe761fec27331e6bcULL},
+    };
+    for (const auto &c : pinned) {
+        TelemetrySampler s(SeriesDomain::Ticks, c.interval);
+        timedDigest(TimedProto::TwoBit, &s);
 
         Json params = Json::object();
         params.set("refs", 400);
-        Json a = makeSeriesArtifact("test", params, serial);
-        Json b = makeSeriesArtifact("test", params, sharded);
-        EXPECT_EQ(a.dump(), b.dump())
-            << "interval " << interval
-            << ": serial and sharded series differ";
+        const Json a = makeSeriesArtifact("test", params, s);
         EXPECT_EQ(validateSeriesArtifact(a), "");
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (const unsigned char ch : a.dump()) {
+            h ^= ch;
+            h *= 0x100000001b3ULL;
+        }
+        EXPECT_EQ(h, c.digest)
+            << "interval " << c.interval << ": series digest 0x"
+            << std::hex << h << " != pinned 0x" << c.digest;
     }
 }
 

@@ -7,8 +7,8 @@
  * Timed tier: the synthetic workload behind every golden digest in
  * test_golden_digest.cc is recorded once (round-robin, the order
  * SyntheticStream::next() emits), then fed back through
- * TraceProcSource — serial and at --shards=4 — and all seven
- * checked-in digests must come out unchanged.  Functional tier: the
+ * TraceProcSource, and all seven checked-in digests must come out
+ * unchanged.  Functional tier: the
  * fixed contended trace behind the pinned table-engine digests in
  * test_table_lockstep.cc is recorded and replayed per-record and
  * batched; same constants.  Finally runFunctional over the mmap
@@ -27,7 +27,6 @@
 #include "check/differ.hh"
 #include "proto/protocol_factory.hh"
 #include "system/func_system.hh"
-#include "timed/sharded_system.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_binary.hh"
@@ -99,10 +98,9 @@ recordGoldenWorkload(const std::string &path)
 
 /** Identical statistics digest to test_golden_digest.cc. */
 std::uint64_t
-digestStats(const TimedRunResult &r,
-            const TwoBitCacheCtrl *const *caches,
-            const TimedDirCtrl *const *dirs, const TimedConfig &cfg)
+digestStats(const TimedRunResult &r, const TimedSystem &sys)
 {
+    const TimedConfig &cfg = sys.config();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     h = fold(h, r.finalTick);
     h = fold(h, r.refsCompleted);
@@ -120,7 +118,7 @@ digestStats(const TimedRunResult &r,
     h = fold(h, r.writesRecorded);
 
     for (ProcId p = 0; p < cfg.numProcs; ++p) {
-        const auto &s = caches[p]->stats();
+        const auto &s = sys.cacheCtrl(p).stats();
         h = fold(h, s.readHits.value());
         h = fold(h, s.writeHits.value());
         h = fold(h, s.readMisses.value());
@@ -132,7 +130,7 @@ digestStats(const TimedRunResult &r,
         h = fold(h, s.writebacksSent.value());
     }
     for (ModuleId m = 0; m < cfg.numModules; ++m) {
-        const auto &s = dirs[m]->stats();
+        const auto &s = sys.dirCtrl(m).stats();
         h = fold(h, s.requests.value());
         h = fold(h, s.mrequests.value());
         h = fold(h, s.ejectsData.value());
@@ -152,7 +150,7 @@ digestStats(const TimedRunResult &r,
  *  instead of the live generator. */
 std::uint64_t
 digestReplay(const TraceReader &reader, TimedProto proto,
-             bool perBlock, NetKind net, unsigned shards)
+             bool perBlock, NetKind net)
 {
     TimedConfig cfg;
     cfg.protocol = proto;
@@ -164,29 +162,13 @@ digestReplay(const TraceReader &reader, TimedProto proto,
     cfg.network = net;
 
     TraceProcSource procSrc(reader, cfg.numProcs);
-    const ProcSource src = [&](ProcId p) -> std::optional<MemRef> {
-        return procSrc.next(p);
-    };
-
-    TimedRunResult r;
-    const TwoBitCacheCtrl *cacheTab[4] = {};
-    const TimedDirCtrl *dirTab[2] = {};
-    if (shards <= 1) {
-        TimedSystem sys(cfg);
-        r = sys.run(src, goldenRefsPerProc);
-        for (ProcId p = 0; p < cfg.numProcs; ++p)
-            cacheTab[p] = &sys.cacheCtrl(p);
-        for (ModuleId m = 0; m < cfg.numModules; ++m)
-            dirTab[m] = &sys.dirCtrl(m);
-        return digestStats(r, cacheTab, dirTab, cfg);
-    }
-    ShardedTimedSystem sys(cfg, shards);
-    r = sys.run(src, goldenRefsPerProc);
-    for (ProcId p = 0; p < cfg.numProcs; ++p)
-        cacheTab[p] = &sys.cacheCtrl(p);
-    for (ModuleId m = 0; m < cfg.numModules; ++m)
-        dirTab[m] = &sys.dirCtrl(m);
-    return digestStats(r, cacheTab, dirTab, cfg);
+    TimedSystem sys(cfg);
+    const TimedRunResult r = sys.run(
+        [&](ProcId p) -> std::optional<MemRef> {
+            return procSrc.next(p);
+        },
+        goldenRefsPerProc);
+    return digestStats(r, sys);
 }
 
 struct TimedGoldenCase
@@ -224,24 +206,10 @@ TEST(TraceReplay, TimedReplayMatchesAllGoldenDigests)
     ASSERT_EQ(reader.totalRecords(), 4 * goldenRefsPerProc);
     for (const auto &c : timedGoldenCases) {
         const std::uint64_t got =
-            digestReplay(reader, c.proto, c.perBlock, c.net, 1);
+            digestReplay(reader, c.proto, c.perBlock, c.net);
         EXPECT_EQ(got, c.digest)
             << c.name << " (replay): digest 0x" << std::hex << got
             << " != golden 0x" << c.digest;
-    }
-}
-
-TEST(TraceReplay, ShardedTimedReplayMatchesAllGoldenDigests)
-{
-    TempTrace t("timed4");
-    recordGoldenWorkload(t.path());
-    TraceReader reader(t.path());
-    for (const auto &c : timedGoldenCases) {
-        const std::uint64_t got =
-            digestReplay(reader, c.proto, c.perBlock, c.net, 4);
-        EXPECT_EQ(got, c.digest)
-            << c.name << " (replay, shards=4): digest 0x" << std::hex
-            << got << " != golden 0x" << c.digest;
     }
 }
 

@@ -17,7 +17,7 @@
  * must have equal payloads once the volatile "meta" block is excluded
  * — the determinism contract between --threads 1 and --threads N runs
  * (series artifacts carry no meta at all, so --compare there is full
- * document equality: the serial-vs-sharded identity check).
+ * document equality).
  * Exits 0 on success, 1 with a diagnostic on any violation.
  */
 

@@ -7,7 +7,7 @@
  *   trace_dump [--out PATH] [--protocol tb|fm|yf] [--procs N]
  *              [--modules M] [--refs N] [--seed S] [--q Q]
  *              [--net ideal|crossbar|bus] [--per-block] [--snoop]
- *              [--capacity N] [--shards N] [--debug]
+ *              [--capacity N] [--debug]
  *
  * The artifact is simultaneously a Chrome trace_event file: load it
  * straight into Perfetto (https://ui.perfetto.dev) or chrome://tracing
@@ -18,12 +18,6 @@
  * With --debug, DIR2B_DEBUG protocol chatter is additionally routed
  * into a "log" track as instant events, so the textual story and the
  * timeline are one artifact.
- *
- * With --shards N > 1 the run uses the sharded engine (bit-identical
- * statistics; see src/timed/sharded_system.hh) with one recorder per
- * shard: the artifact renders each shard as its own "s<k>/..." group
- * of Perfetto tracks.  --debug needs the single global debug sink and
- * is therefore rejected alongside --shards.
  */
 
 #include <cstdio>
@@ -38,7 +32,6 @@
 #include "obs/trace_recorder.hh"
 #include "report/bench_cli.hh"
 #include "report/report.hh"
-#include "timed/sharded_system.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
@@ -76,8 +69,6 @@ usage(const char *argv0)
         "  --snoop         duplicate cache directories (Sec. 4.4a)\n"
         "  --capacity N    recorder ring capacity in events "
         "(default: 262144)\n"
-        "  --shards N      home shards; N > 1 runs the sharded engine\n"
-        "                  with one recorder (track group) per shard\n"
         "  --series-interval N\n"
         "                  sample the telemetry registry every N ticks\n"
         "                  (k/m/g suffixes) and render every metric as\n"
@@ -87,21 +78,19 @@ usage(const char *argv0)
         "                  dir2b.series artifact (default interval\n"
         "                  4096 if --series-interval is absent)\n"
         "  --debug         route DIR2B_DEBUG messages into a 'log' "
-        "track (single shard only)\n",
+        "track\n",
         argv0);
 }
 
-/** Per-phase latency summary (merged across components); works on
- *  either engine — both expose the same histogram accessors. */
+/** Per-phase latency summary (merged across components). */
 struct PhaseRow
 {
     const char *name;
     Histogram h;
 };
 
-template <typename Sys>
 std::vector<PhaseRow>
-collectPhases(const Sys &sys)
+collectPhases(const TimedSystem &sys)
 {
     return {
         {"latency", sys.mergedCacheHistogram(&CacheCtrlStats::latency)},
@@ -131,7 +120,6 @@ main(int argc, char **argv)
     bool perBlock = false;
     bool snoop = false;
     bool debug = false;
-    unsigned shards = 1;
     std::size_t capacity = std::size_t(1) << 18;
     std::string seriesPath;
     std::uint64_t seriesInterval = 0;
@@ -169,9 +157,6 @@ main(int argc, char **argv)
         } else if (arg == "--capacity") {
             capacity = static_cast<std::size_t>(
                 std::atoll(value("--capacity").c_str()));
-        } else if (arg == "--shards") {
-            shards = static_cast<unsigned>(
-                std::atoi(value("--shards").c_str()));
         } else if (arg == "--series-out") {
             seriesPath = value("--series-out");
         } else if (arg == "--series-interval") {
@@ -190,11 +175,6 @@ main(int argc, char **argv)
     }
     if (procs == 0 || modules == 0 || capacity == 0)
         fail("--procs, --modules and --capacity must be positive");
-    if (shards == 0)
-        fail("--shards must be positive");
-    if (shards > 1 && debug)
-        fail("--debug needs the single global debug sink; "
-             "use --shards 1");
 
     TimedConfig cfg;
     if (protoName == "tb")
@@ -225,31 +205,16 @@ main(int argc, char **argv)
                      "trace_dump: warning: built with -DDIR2B_TRACING="
                      "OFF — the trace will contain no events\n");
 
-    // One recorder per shard (a single one when serial); the exporter
-    // renders each as its own group of Perfetto tracks.
-    std::vector<std::unique_ptr<TraceRecorder>> recs;
-    std::vector<const TraceRecorder *> recPtrs;
-    for (unsigned s = 0; s < shards; ++s) {
-        recs.push_back(std::make_unique<TraceRecorder>(capacity));
-        recPtrs.push_back(recs.back().get());
-    }
+    TraceRecorder rec(capacity);
 
     // The telemetry sampler mirrors every metric into a "metrics"
-    // counter track: the serial engine shares the one recorder, the
-    // sharded engine gets a dedicated extra recorder (the sampler is
-    // global — it flushes at merge barriers, not inside any shard).
+    // counter track of the same recorder.
     std::unique_ptr<TelemetrySampler> sampler;
     if (seriesInterval || !seriesPath.empty()) {
         sampler = std::make_unique<TelemetrySampler>(
             SeriesDomain::Ticks,
             seriesInterval ? seriesInterval : 4096);
-        if (shards <= 1) {
-            sampler->attachRecorder(recs[0].get());
-        } else {
-            recs.push_back(std::make_unique<TraceRecorder>(capacity));
-            recPtrs.push_back(recs.back().get());
-            sampler->attachRecorder(recs.back().get());
-        }
+        sampler->attachRecorder(&rec);
     }
 
     const WallTimer timer;
@@ -268,35 +233,23 @@ main(int argc, char **argv)
         return stream->nextFor(p);
     };
 
-    TimedRunResult r;
-    std::vector<PhaseRow> phases;
     cfg.sampler = sampler.get();
-    if (shards <= 1) {
-        cfg.tracer = recs[0].get();
-        TimedSystem sys(cfg);
-        if (debug) {
-            TraceRecorder &rec = *recs[0];
-            const std::uint32_t logTrk = rec.addTrack("log");
-            setDebugSink([&rec, &sys, logTrk](const std::string &msg) {
-                rec.note(sys.now(), logTrk, msg);
-            });
-        }
-        r = sys.run(src, refs);
-        setDebugSink(nullptr);
-        phases = collectPhases(sys);
-    } else {
-        std::vector<TraceRecorder *> shardTracers;
-        for (unsigned s = 0; s < shards; ++s)
-            shardTracers.push_back(recs[s].get());
-        ShardedTimedSystem sys(cfg, shards, shardTracers);
-        r = sys.run(src, refs);
-        phases = collectPhases(sys);
+    cfg.tracer = &rec;
+    TimedSystem sys(cfg);
+    if (debug) {
+        const std::uint32_t logTrk = rec.addTrack("log");
+        setDebugSink([&rec, &sys, logTrk](const std::string &msg) {
+            rec.note(sys.now(), logTrk, msg);
+        });
     }
+    const TimedRunResult r = sys.run(src, refs);
+    setDebugSink(nullptr);
+    const std::vector<PhaseRow> phases = collectPhases(sys);
 
     std::printf("trace_dump: %s n=%u m=%u q=%.2f net=%s refs=%llu "
-                "shards=%u -> %llu ticks, %llu messages\n\n",
+                "-> %llu ticks, %llu messages\n\n",
                 protoName.c_str(), procs, modules, q, netName.c_str(),
-                static_cast<unsigned long long>(refs), shards,
+                static_cast<unsigned long long>(refs),
                 static_cast<unsigned long long>(r.finalTick),
                 static_cast<unsigned long long>(r.netMessages));
     std::printf("%-12s %10s %10s %6s %6s %6s %6s\n", "phase",
@@ -311,21 +264,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(p.h.p95()),
                     static_cast<unsigned long long>(p.h.p99()));
     }
-    std::uint64_t recRecorded = 0;
-    std::uint64_t recDropped = 0;
-    std::size_t recHeld = 0;
-    std::size_t recTracks = 0;
-    for (const auto &rp : recs) {
-        recRecorded += rp->recorded();
-        recDropped += rp->dropped();
-        recHeld += rp->size();
-        recTracks += rp->tracks().size();
-    }
     std::printf("\nrecorder: %llu events recorded, %zu held, %llu "
                 "dropped (ring wrap), %zu tracks\n",
-                static_cast<unsigned long long>(recRecorded), recHeld,
-                static_cast<unsigned long long>(recDropped),
-                recTracks);
+                static_cast<unsigned long long>(rec.recorded()),
+                rec.size(),
+                static_cast<unsigned long long>(rec.dropped()),
+                rec.tracks().size());
 
     // ---- artifact ----
     Json params = Json::object();
@@ -338,7 +282,6 @@ main(int argc, char **argv)
     params.set("net", netName);
     params.set("perBlock", perBlock);
     params.set("snoop", snoop);
-    params.set("shards", shards);
     params.set("capacity",
                static_cast<unsigned long long>(capacity));
 
@@ -353,9 +296,9 @@ main(int argc, char **argv)
     summary.set("netMessages",
                 static_cast<unsigned long long>(r.netMessages));
     summary.set("eventsRecorded",
-                static_cast<unsigned long long>(recRecorded));
+                static_cast<unsigned long long>(rec.recorded()));
     summary.set("eventsDropped",
-                static_cast<unsigned long long>(recDropped));
+                static_cast<unsigned long long>(rec.dropped()));
     summary.set("phases", std::move(phaseJson));
 
     Json meta = Json::object();
@@ -366,8 +309,7 @@ main(int argc, char **argv)
     std::ofstream out(outPath);
     if (!out)
         fail("cannot open '" + outPath + "' for writing");
-    writeTraceArtifact(out, recPtrs, "trace_dump", params, summary,
-                       meta);
+    writeTraceArtifact(out, rec, "trace_dump", params, summary, meta);
     out << "\n";
     if (!out)
         fail("write to '" + outPath + "' failed");
@@ -375,8 +317,8 @@ main(int argc, char **argv)
                 outPath.c_str());
 
     if (sampler && !seriesPath.empty()) {
-        // Deterministic run configuration only — no shards/capacity —
-        // so serial and sharded runs write byte-identical artifacts.
+        // Deterministic run configuration only — no capacity — so the
+        // artifact is a pure function of the simulated run.
         Json sp = Json::object();
         sp.set("protocol", protoName);
         sp.set("procs", procs);
