@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +51,7 @@
 #include "trace/trace_stats.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
+#include "util/parse_args.hh"
 
 using namespace dir2b;
 
@@ -162,6 +164,18 @@ usage(const char *argv0)
         argv0);
 }
 
+/** An unsigned count flag (parseScaledUint's grammar), at most `max`
+ *  so that it survives narrowing to ProcId, ModuleId or unsigned. */
+std::uint64_t
+countArg(const char *s, const char *flag,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    const std::uint64_t v = parseScaledUint(s, flag, "count");
+    if (v > max)
+        DIR2B_FATAL(flag, ": ", v, " exceeds the largest allowed, ", max);
+    return v;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -176,34 +190,34 @@ parse(int argc, char **argv)
         if (arg == "--protocol") {
             o.protocol = need(i);
         } else if (arg == "--procs") {
-            o.procs = static_cast<ProcId>(std::atoi(need(i)));
+            o.procs = static_cast<ProcId>(
+                countArg(need(i), "--procs", invalidProc - 1));
             o.procsSet = true;
         } else if (arg == "--sets") {
-            o.sets = static_cast<std::size_t>(std::atoll(need(i)));
+            o.sets = countArg(need(i), "--sets");
         } else if (arg == "--ways") {
-            o.ways = static_cast<std::size_t>(std::atoll(need(i)));
+            o.ways = countArg(need(i), "--ways");
         } else if (arg == "--modules") {
-            o.modules = static_cast<ModuleId>(std::atoi(need(i)));
+            o.modules = static_cast<ModuleId>(countArg(
+                need(i), "--modules",
+                std::numeric_limits<ModuleId>::max()));
         } else if (arg == "--tb") {
-            o.tbCapacity = static_cast<std::size_t>(
-                std::atoll(need(i)));
+            o.tbCapacity = countArg(need(i), "--tb");
         } else if (arg == "--bias") {
-            o.biasCapacity = static_cast<std::size_t>(
-                std::atoll(need(i)));
+            o.biasCapacity = countArg(need(i), "--bias");
         } else if (arg == "--q") {
             o.q = std::atof(need(i));
         } else if (arg == "--w") {
             o.w = std::atof(need(i));
         } else if (arg == "--shared") {
-            o.sharedBlocks = static_cast<std::size_t>(
-                std::atoll(need(i)));
+            o.sharedBlocks = countArg(need(i), "--shared");
         } else if (arg == "--locality") {
             o.locality = std::atof(need(i));
         } else if (arg == "--refs") {
-            o.refs = static_cast<std::uint64_t>(std::atoll(need(i)));
+            o.refs = countArg(need(i), "--refs");
             o.refsSet = true;
         } else if (arg == "--seed") {
-            o.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            o.seed = countArg(need(i), "--seed");
         } else if (arg == "--trace") {
             o.tracePath = need(i);
         } else if (arg == "--record") {
@@ -231,8 +245,9 @@ parse(int argc, char **argv)
                 const std::string tok = list.substr(
                     pos, comma == std::string::npos ? comma
                                                     : comma - pos);
-                const int v = std::atoi(tok.c_str());
-                if (v <= 0)
+                const std::uint64_t v =
+                    countArg(tok.c_str(), "--sweep-procs", invalidProc - 1);
+                if (v == 0)
                     DIR2B_FATAL("--sweep-procs: bad count '", tok, "'");
                 o.sweepProcs.push_back(static_cast<ProcId>(v));
                 if (comma == std::string::npos)
@@ -242,8 +257,9 @@ parse(int argc, char **argv)
             if (o.sweepProcs.empty())
                 DIR2B_FATAL("--sweep-procs: empty list");
         } else if (arg == "--threads") {
-            const long v = std::atol(need(i));
-            if (v <= 0)
+            const std::uint64_t v = countArg(
+                need(i), "--threads", std::numeric_limits<unsigned>::max());
+            if (v == 0)
                 DIR2B_FATAL("--threads wants a positive integer");
             o.threads = static_cast<unsigned>(v);
         } else if (arg == "--no-oracle") {
@@ -254,11 +270,9 @@ parse(int argc, char **argv)
             o.dirRamBudget = parseByteSize(need(i),
                                            "--dir-ram-budget");
         } else if (arg == "--space-blocks") {
-            o.spaceBlocks = static_cast<std::uint64_t>(
-                std::strtoull(need(i), nullptr, 10));
+            o.spaceBlocks = countArg(need(i), "--space-blocks");
         } else if (arg == "--think") {
-            o.think = static_cast<std::uint64_t>(
-                std::strtoull(need(i), nullptr, 10));
+            o.think = countArg(need(i), "--think");
         } else if (arg == "--analyze") {
             o.analyze = true;
         } else if (arg == "--invariants") {
@@ -528,6 +542,12 @@ runTimed(Options o)
     // the artifact's params block.
     o.procs = procs;
     o.refs = refsPerProc;
+    // A processor thinks for --think ticks before each of its
+    // references, so its clock passes think x refs; keeping that under
+    // 2^62 leaves the rest of the 64-bit tick for the latencies.
+    if (o.think && refsPerProc > (Tick{1} << 62) / o.think)
+        DIR2B_FATAL("--think ", o.think, " x --refs ", refsPerProc,
+                    " would overflow the 64-bit simulated clock");
 
     TimedConfig cfg;
     if (o.protocol == "two_bit" || o.protocol == "tb")

@@ -351,9 +351,8 @@ TableProtocol::findRow(std::uint8_t state, EventClass ev, Addr a,
                        ProcId k) const
 {
     if (linearDispatch_) {
-        // The pre-index reference path, kept as the A/B baseline for
-        // bench_trace_replay's dispatch microbench and the
-        // equivalence test in test_table_engine.cc.
+        // The pre-index reference path, kept for
+        // TableDispatch.IndexedAndLinearDispatchAreEquivalent.
         for (const TableRow &r : table_.rows) {
             if (r.state == state && r.event == ev &&
                 guardHolds(r.guard, a, k))

@@ -257,10 +257,11 @@ class TableProtocol : public Protocol
     const std::vector<std::uint64_t> &rowHits() const { return rowHits_; }
 
     /**
-     * A/B knob for the dispatch microbench and equivalence tests:
-     * true falls back to the pre-index linear row scan.  Both paths
-     * fire the same row for every (state, event, guard) query — the
-     * dense index only skips rows that could never match.
+     * True falls back to the pre-index linear row scan, the reference
+     * that TableDispatch.IndexedAndLinearDispatchAreEquivalent holds
+     * the dense index to.  Both paths fire the same row for every
+     * (state, event, guard) query — the index only skips rows that
+     * could never match.
      */
     void useLinearDispatch(bool on) { linearDispatch_ = on; }
 

@@ -256,16 +256,15 @@ class TraceBatchStream
         return reader_->block(block_++);
     }
 
-    void rewind() { block_ = 0; }
-
   private:
     const TraceReader *reader_;
     std::size_t block_ = 0;
 };
 
 /** One-record-at-a-time RefStream over a reader: the compatibility
- *  (and A/B baseline) path — every consumer of the old VectorStream
- *  interface works unchanged, just without the text parse. */
+ *  path (and the replay tests' per-record reference) — every consumer
+ *  of the old VectorStream interface works unchanged, just without the
+ *  text parse. */
 class MmapTraceStream : public RefStream
 {
   public:

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
+#include "util/parse_args.hh"
 
 namespace
 {
@@ -131,6 +133,18 @@ main(int argc, char **argv)
                 fail(std::string(flag) + " requires an argument");
             return argv[++i];
         };
+        // An unsigned count flag, at most `max` so it survives the
+        // narrowing to unsigned.
+        auto count = [&](const char *flag, std::uint64_t max =
+                             std::numeric_limits<std::uint64_t>::max()) {
+            const std::uint64_t v =
+                parseScaledUint(value(flag).c_str(), flag, "count");
+            if (v > max)
+                fail(std::string(flag) + ": " + std::to_string(v) +
+                     " exceeds the largest allowed, " +
+                     std::to_string(max));
+            return v;
+        };
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -142,21 +156,18 @@ main(int argc, char **argv)
             netName = value("--net");
         } else if (arg == "--procs") {
             procs = static_cast<unsigned>(
-                std::atoi(value("--procs").c_str()));
+                count("--procs", invalidProc - 1));
         } else if (arg == "--modules") {
             modules = static_cast<unsigned>(
-                std::atoi(value("--modules").c_str()));
+                count("--modules", std::numeric_limits<unsigned>::max()));
         } else if (arg == "--refs") {
-            refs = static_cast<std::uint64_t>(
-                std::atoll(value("--refs").c_str()));
+            refs = count("--refs");
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(value("--seed").c_str()));
+            seed = count("--seed");
         } else if (arg == "--q") {
             q = std::atof(value("--q").c_str());
         } else if (arg == "--capacity") {
-            capacity = static_cast<std::size_t>(
-                std::atoll(value("--capacity").c_str()));
+            capacity = count("--capacity");
         } else if (arg == "--series-out") {
             seriesPath = value("--series-out");
         } else if (arg == "--series-interval") {
