@@ -400,5 +400,52 @@ TEST(Instrumentation, TracedRunExportsPerControllerTracksAndPhases)
     EXPECT_TRUE(spanNames.count("supply"));
 }
 
+// Every message on the wire is one instant on the "net" track, also
+// the broadcast copies and acknowledgements of caches that hold no
+// copy of the block: at 64 processors most of a BROADINV's 63 copies
+// and INVACKs are of that kind.
+TEST(Instrumentation, NetTrackHasOneInstantPerMessageAt64Procs)
+{
+    if (!traceCompiledIn)
+        GTEST_SKIP() << "built with DIR2B_TRACING=OFF";
+
+    TimedConfig cfg;
+    cfg.numProcs = 64;
+    cfg.numModules = 4;
+    cfg.cacheGeom.sets = 16;
+    cfg.cacheGeom.ways = 2;
+    cfg.perBlockConcurrency = true;
+    cfg.network = NetKind::Crossbar;
+    TraceRecorder rec;
+    cfg.tracer = &rec;
+    TimedSystem sys(cfg);
+
+    SyntheticConfig scfg;
+    scfg.numProcs = 64;
+    scfg.q = 0.2;
+    scfg.w = 0.3;
+    scfg.sharedBlocks = 8;
+    scfg.privateBlocks = 64;
+    scfg.hotBlocks = 16;
+    scfg.seed = 0xd16e57;
+    SyntheticStream stream(scfg);
+    const auto r = sys.run(
+        [&](ProcId p) -> std::optional<MemRef> {
+            return stream.nextFor(p);
+        },
+        50);
+
+    ASSERT_EQ(rec.dropped(), 0u);
+    ASSERT_EQ(rec.tracks()[0], "net");
+    std::uint64_t netInstants = 0;
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+        const TraceRecorder::Event &e = rec.at(i);
+        netInstants += e.track == 0 &&
+                       e.type == TraceRecorder::Ev::Instant;
+    }
+    EXPECT_GT(r.broadcasts, 0u);
+    EXPECT_EQ(netInstants, r.netMessages);
+}
+
 } // namespace
 } // namespace dir2b

@@ -53,13 +53,12 @@ namespace dir2b
 namespace
 {
 
-constexpr ProcId procs = 64;
 constexpr std::uint64_t baseRefs = 2000;
 
-/** Heap allocations made building and running one crossbar system
- *  at refsPerProc references per processor. */
+/** Heap allocations made building and running one crossbar system of
+ *  procs processors at refsPerProc references per processor. */
 std::uint64_t
-allocationsFor(TimedProto proto, std::uint64_t refsPerProc)
+allocationsFor(TimedProto proto, ProcId procs, std::uint64_t refsPerProc)
 {
     SyntheticConfig sc;
     sc.numProcs = procs;
@@ -96,10 +95,12 @@ allocationsFor(TimedProto proto, std::uint64_t refsPerProc)
 }
 
 void
-expectAllocationFreeSteadyState(TimedProto proto, const char *name)
+expectAllocationFreeSteadyState(TimedProto proto, const char *name,
+                                ProcId procs = 64)
 {
-    const std::uint64_t once = allocationsFor(proto, baseRefs);
-    const std::uint64_t twice = allocationsFor(proto, 2 * baseRefs);
+    const std::uint64_t once = allocationsFor(proto, procs, baseRefs);
+    const std::uint64_t twice =
+        allocationsFor(proto, procs, 2 * baseRefs);
     const double perRef = static_cast<double>(twice - once) /
                           static_cast<double>(baseRefs * procs);
     std::printf("%s: %.4f allocations per reference (%llu at %llu "
@@ -115,6 +116,14 @@ expectAllocationFreeSteadyState(TimedProto proto, const char *name)
 TEST(TimedAlloc, TwoBitSteadyStateAllocatesNothingPerReference)
 {
     expectAllocationFreeSteadyState(TimedProto::TwoBit, "two_bit");
+}
+
+// 130 processors: holder bitmaps span three words and a broadcast
+// reaches 129 caches.
+TEST(TimedAlloc, TwoBitAt130ProcsAllocatesNothingPerReference)
+{
+    expectAllocationFreeSteadyState(TimedProto::TwoBit, "two_bit_130",
+                                    130);
 }
 
 TEST(TimedAlloc, FullMapSteadyStateAllocatesNothingPerReference)
