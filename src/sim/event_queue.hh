@@ -32,6 +32,12 @@
  *  - runUntil() executes strictly below a horizon and nextTickExact()
  *    reports the earliest pending tick, so a caller (the telemetry
  *    sampler loop of TimedSystem) can stop at exact time boundaries.
+ *
+ *  - executed() and pending() count logical events.  A weighted event
+ *    stands for `weight` events of one tick (a broadcast's copies).
+ *    A count-only event (countAt) runs nothing: it is pending until
+ *    its tick, then executed.  These wait in tick order in one FIFO
+ *    lane per caller-chosen key (a destination port).
  */
 
 #ifndef DIR2B_SIM_EVENT_QUEUE_HH
@@ -46,6 +52,7 @@
 
 #include "util/inline_function.hh"
 #include "util/logging.hh"
+#include "util/ring_fifo.hh"
 #include "util/types.hh"
 
 namespace dir2b
@@ -67,16 +74,20 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Number of events executed so far. */
+    /** Number of (logical) events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Number of events currently pending. */
+    /** Number of (logical) events currently pending. */
     std::size_t pending() const { return pending_; }
 
-    /** Schedule a callback at an absolute tick >= now(). */
+    /** Callbacks invoked so far (host work: no digest may read it). */
+    std::uint64_t dispatched() const { return dispatched_; }
+
+    /** Schedule a callback at an absolute tick >= now(), standing for
+     *  `weight` logical events of that tick. */
     template <typename F>
     void
-    scheduleAt(Tick when, F &&cb)
+    scheduleAt(Tick when, F &&cb, std::uint32_t weight = 1)
     {
         DIR2B_ASSERT(when >= now_, "scheduling event in the past: ", when,
                      " < ", now_);
@@ -84,9 +95,28 @@ class EventQueue
         Node &n = arena_[idx];
         n.when = when;
         n.seq = seq_++;
+        n.weight = weight;
         n.cb = std::forward<F>(cb);
         placeNode(idx);
+        pending_ += weight;
+    }
+
+    /** Count one event at tick `when` that has nothing to run; ticks
+     *  counted in one lane must not decrease.  The caller keeps a real
+     *  event pending at or after `when`.  Not charged to the budget. */
+    void
+    countAt(std::size_t lane, Tick when)
+    {
+        DIR2B_ASSERT(when >= now_, "counting an event in the past");
+        if (lane >= lanes_.size())
+            lanes_.resize(lane + 1);
+        RingFifo<Tick> &q = lanes_[lane];
+        retire(q, now_ + 1);
+        DIR2B_ASSERT(q.empty() || q[q.size() - 1] <= when,
+                     "count-only lane ", lane, " went back in time");
+        q.push_back(when);
         ++pending_;
+        ++counted_;
     }
 
     /** Schedule a callback delay ticks from now. */
@@ -106,11 +136,13 @@ class EventQueue
     run(std::uint64_t maxEvents = ~0ULL)
     {
         std::uint64_t budget = maxEvents;
-        while (pending_ != 0) {
+        while (pending_ != counted_) {
             advance<false>(0);
             if (!drainCurrentSlot(budget))
                 return false;
         }
+        for (RingFifo<Tick> &q : lanes_)
+            retire(q, maxTick);
         return true;
     }
 
@@ -123,12 +155,14 @@ class EventQueue
     bool
     runUntil(Tick horizon, std::uint64_t &budget)
     {
-        while (pending_ != 0) {
+        while (pending_ != counted_) {
             if (!advance<true>(horizon))
-                return true; // nothing left below the horizon
+                break; // nothing real left below the horizon
             if (!drainCurrentSlot(budget))
                 return false;
         }
+        for (RingFifo<Tick> &q : lanes_)
+            retire(q, horizon);
         return true;
     }
 
@@ -148,6 +182,10 @@ class EventQueue
         Tick best = maxTick;
         if (!over_.empty())
             best = arena_[over_.front()].when;
+        for (const RingFifo<Tick> &q : lanes_) {
+            if (!q.empty())
+                best = std::min(best, q[0]);
+        }
         if (levels_[0].occ) {
             const auto curSlot =
                 static_cast<unsigned>(now_ & (slotCount - 1));
@@ -193,10 +231,13 @@ class EventQueue
             lv.head.assign(slotCount, nil);
             lv.tail.assign(slotCount, nil);
         }
+        lanes_.clear();
         now_ = 0;
         seq_ = 0;
         executed_ = 0;
         pending_ = 0;
+        counted_ = 0;
+        dispatched_ = 0;
     }
 
   private:
@@ -213,6 +254,7 @@ class EventQueue
         Tick when = 0;
         std::uint64_t seq = 0;
         std::uint32_t next = nil;
+        std::uint32_t weight = 1;
         Callback cb;
     };
 
@@ -224,6 +266,18 @@ class EventQueue
             std::vector<std::uint32_t>(slotCount, nil);
         std::uint64_t occ = 0;
     };
+
+    /** Retire lane q's count-only events below tick `before`. */
+    void
+    retire(RingFifo<Tick> &q, Tick before)
+    {
+        while (!q.empty() && q[0] < before) {
+            q.erase(0);
+            --pending_;
+            --counted_;
+            ++executed_;
+        }
+    }
 
     std::uint32_t
     allocNode()
@@ -459,16 +513,18 @@ class EventQueue
                           });
             }
             for (std::size_t i = 0; i < scratch_.size(); ++i) {
-                if (budget == 0) {
+                const std::uint32_t idx = scratch_[i];
+                const std::uint32_t weight = arena_[idx].weight;
+                if (budget < weight) {
                     reinsertUndrained(slot, i);
                     return false;
                 }
-                --budget;
-                const std::uint32_t idx = scratch_[i];
+                budget -= weight;
                 Callback cb = std::move(arena_[idx].cb);
                 freeNode(idx);
-                --pending_;
-                ++executed_;
+                pending_ -= weight;
+                executed_ += weight;
+                ++dispatched_;
                 cb();
             }
         }
@@ -502,10 +558,15 @@ class EventQueue
     std::vector<std::uint32_t> over_;
     /** Drain batch reused across ticks. */
     std::vector<std::uint32_t> scratch_;
+    /** Pending count-only events, one tick-ordered FIFO per lane. */
+    std::vector<RingFifo<Tick>> lanes_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t pending_ = 0;
+    /** The part of pending_ that waits in lanes_. */
+    std::size_t counted_ = 0;
+    std::uint64_t dispatched_ = 0;
 };
 
 } // namespace dir2b

@@ -7,15 +7,9 @@ namespace dir2b
 
 TwoBitCacheCtrl::TwoBitCacheCtrl(ProcId id, const TimedConfig &cfg,
                                  EventQueue &eq, TimedNetwork &net,
-                                 CompletionSink &sink)
-    : id_(id), cfg_(cfg), eq_(eq), net_(net), sink_(sink), cache_([&] {
-          CacheGeometry g = cfg.cacheGeom;
-          g.seed = g.seed * 0x9e3779b9ULL + id + 1;
-          return g;
-      }())
+                                 CompletionSink &sink, CacheBank &bank)
+    : id_(id), cfg_(cfg), eq_(eq), net_(net), sink_(sink), bank_(bank)
 {
-    if (cfg.snoopFilter)
-        snoop_.emplace();
 #if DIR2B_TRACE
     if ((trc_ = cfg.tracer))
         trk_ = trc_->addTrack("cache" + std::to_string(id));
@@ -35,18 +29,25 @@ TwoBitCacheCtrl::sendToHome(Addr a, Message msg)
 }
 
 void
-TwoBitCacheCtrl::fillLine(Addr a, LineState st, Value v)
+TwoBitCacheCtrl::dropLine(Addr a, bool converting)
 {
-    cache_.fill(a, st, v);
-    if (snoop_)
-        snoop_->insert(a);
+    DIR2B_ASSERT(converting || !txn_ || txn_->phase != Phase::AwaitGrant ||
+                     txn_->ref.addr != a,
+                 "cache ", id_, " dropped block ", a,
+                 " while upgrading it, outside a conversion");
+    bank_.invalidate(id_, a);
 }
 
 void
-TwoBitCacheCtrl::dropLine(Addr a)
+TwoBitCacheCtrl::chargeAbsent(const Message &msg)
 {
-    if (cache_.invalidate(a) && snoop_)
-        snoop_->erase(a);
+    if (!cfg_.snoopFilter) {
+        ++stats_.stolenCycles;
+        return;
+    }
+    ++stats_.filteredCmds;
+    if (msg.kind == MsgKind::BroadInv)
+        DIR2B_TRC(trc_, instant(eq_.now(), trk_, "filtered", msg.addr));
 }
 
 void
@@ -71,7 +72,7 @@ TwoBitCacheCtrl::processorRequest(const MemRef &ref, Value wval)
     DIR2B_ASSERT(ref.proc == id_, "reference routed to wrong cache");
     txn_ = Txn{Phase::AwaitData, ref, wval, eq_.now()};
 
-    CacheLine *l = cache_.lookup(ref.addr);
+    CacheLine *l = bank_.lookup(id_, ref.addr);
     if (l) {
         if (!ref.write) {
             ++stats_.readHits;
@@ -136,7 +137,7 @@ TwoBitCacheCtrl::startMiss()
     const MemRef &ref = txn_->ref;
 
     // §3.2.1 replacement.
-    CacheLine &victim = cache_.victimFor(ref.addr);
+    CacheLine &victim = bank_.victimFor(id_, ref.addr);
     if (victim.valid()) {
         Message ej;
         ej.kind = MsgKind::Eject;
@@ -221,8 +222,8 @@ TwoBitCacheCtrl::onGetData(const Message &msg)
     DIR2B_TRC(trc_, end(eq_.now(), trk_, "await_data"));
     const bool write = txn_->ref.write;
     const Value v = write ? txn_->wval : msg.data;
-    fillLine(msg.addr,
-             write ? LineState::Modified : readFillState(msg), v);
+    bank_.fill(id_, msg.addr,
+               write ? LineState::Modified : readFillState(msg), v);
     txn_->phase = Phase::Completing;
     eq_.schedule(cfg_.cacheLatency, [this, v] { complete(v); });
 }
@@ -244,7 +245,7 @@ TwoBitCacheCtrl::onMGranted(const Message &msg)
     DIR2B_ASSERT(msg.granted,
                  "MGRANTED(false) while still holding a valid copy of ",
                  msg.addr, ": the BROADINV must arrive first (FIFO)");
-    CacheLine *l = cache_.lookup(msg.addr, false);
+    CacheLine *l = bank_.lookup(id_, msg.addr, false);
     DIR2B_ASSERT(l && !l->dirty(), "grant for block ", msg.addr,
                  " without a clean local copy");
     l->state = LineState::Modified;
@@ -271,13 +272,9 @@ TwoBitCacheCtrl::onBroadInv(const Message &msg)
     // the end of this handler); the ack necessarily follows any
     // converted REQUEST on our FIFO link to the controller, which is
     // what lets the controller flush our stale MREQUEST.
-    if (snoop_ && !snoop_->check(msg.addr)) {
-        DIR2B_ASSERT(!cache_.peek(msg.addr),
-                     "duplicate directory out of sync: filter absorbed "
-                     "BROADINV for resident block ", msg.addr);
-        ++stats_.filteredCmds;
-        DIR2B_TRC(trc_,
-                  instant(eq_.now(), trk_, "filtered", msg.addr));
+    const CacheLine *l = bank_.lookup(id_, msg.addr, false);
+    if (!l) {
+        chargeAbsent(msg);
         sendInvAck(msg.addr);
         return;
     }
@@ -286,22 +283,18 @@ TwoBitCacheCtrl::onBroadInv(const Message &msg)
     if (txn_ && txn_->phase == Phase::AwaitGrant &&
         txn_->ref.addr == msg.addr) {
         // §3.2.5: treat as MGRANTED(id_, false).
-        dropLine(msg.addr);
+        dropLine(msg.addr, true);
         ++stats_.invalidationsApplied;
         convertToWriteMiss();
         sendInvAck(msg.addr);
         return;
     }
 
-    CacheLine *l = cache_.lookup(msg.addr, false);
-    if (l) {
-        DIR2B_ASSERT(!l->dirty(), "BROADINV hit a dirty copy of ",
-                     msg.addr, " in cache ", id_);
-        dropLine(msg.addr);
-        ++stats_.invalidationsApplied;
-        DIR2B_TRC(trc_,
-                  instant(eq_.now(), trk_, "invalidated", msg.addr));
-    }
+    DIR2B_ASSERT(!l->dirty(), "BROADINV hit a dirty copy of ", msg.addr,
+                 " in cache ", id_);
+    dropLine(msg.addr);
+    ++stats_.invalidationsApplied;
+    DIR2B_TRC(trc_, instant(eq_.now(), trk_, "invalidated", msg.addr));
     sendInvAck(msg.addr);
 }
 
@@ -321,22 +314,17 @@ TwoBitCacheCtrl::onBroadQuery(const Message &msg)
     if (msg.proc == id_)
         return;
 
-    if (snoop_ && !snoop_->check(msg.addr)) {
-        DIR2B_ASSERT(!cache_.peek(msg.addr),
-                     "duplicate directory out of sync: filter absorbed "
-                     "BROADQUERY for resident block ", msg.addr);
-        ++stats_.filteredCmds;
+    // Not the owner: the broadcast was a (useless) check.  A block we
+    // ejected moments ago is the EJECT-in-flight race; the controller
+    // consumes our put when it arrives.
+    CacheLine *l = bank_.lookup(id_, msg.addr, false);
+    if (!l) {
+        chargeAbsent(msg);
         return;
     }
     ++stats_.stolenCycles;
-
-    CacheLine *l = cache_.lookup(msg.addr, false);
-    if (!l || !l->dirty()) {
-        // Not the owner: the broadcast was a (useless) check.  A block
-        // we ejected moments ago is the EJECT-in-flight race; the
-        // controller consumes our put when it arrives.
+    if (!l->dirty())
         return;
-    }
 
     ++stats_.queriesAnswered;
     DIR2B_TRC(trc_, instant(eq_.now(), trk_, "query_answered",

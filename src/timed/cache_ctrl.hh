@@ -23,8 +23,7 @@
 #include <functional>
 #include <optional>
 
-#include "cache/cache_array.hh"
-#include "cache/snoop_filter.hh"
+#include "cache/cache_bank.hh"
 #include "obs/trace_recorder.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -76,7 +75,8 @@ class TwoBitCacheCtrl
 {
   public:
     TwoBitCacheCtrl(ProcId id, const TimedConfig &cfg, EventQueue &eq,
-                    TimedNetwork &net, CompletionSink &sink);
+                    TimedNetwork &net, CompletionSink &sink,
+                    CacheBank &bank);
 
     /**
      * Begin one LOAD/STORE.  Exactly one may be outstanding; the sink
@@ -90,16 +90,21 @@ class TwoBitCacheCtrl
     /** Incoming network message (connected by the system builder). */
     virtual void receive(unsigned src, const Message &msg);
 
+    /** All a coherence command for a block this cache lacks does,
+     *  besides a BROADINV's INVACK: with the duplicate directory
+     *  (§4.4 a) it is filtered, else it steals a cycle. */
+    void chargeAbsent(const Message &msg);
+
     bool idle() const { return !txn_.has_value(); }
 
     const CacheCtrlStats &stats() const { return stats_; }
-    const CacheArray &cache() const { return cache_; }
+    const CacheArray &cache() const { return bank_.array(id_); }
 
     /** Drain hook for final conservation checks. */
     void forEachValidLine(
         const std::function<void(const CacheLine &)> &fn) const
     {
-        cache_.forEachValid(fn);
+        bank_.forEachValid(id_, fn);
     }
 
   protected:
@@ -148,18 +153,16 @@ class TwoBitCacheCtrl
     void onBroadInv(const Message &msg);
     void onBroadQuery(const Message &msg);
 
-    /** Fill keeping the duplicate directory in sync. */
-    void fillLine(Addr a, LineState st, Value v);
-    /** Invalidate keeping the duplicate directory in sync. */
-    void dropLine(Addr a);
+    /** Invalidate block a.  Only a conversion may drop the block of
+     *  a pending upgrade: TimedSystem relies on AwaitGrant => holder. */
+    void dropLine(Addr a, bool converting = false);
 
     ProcId id_;
     const TimedConfig &cfg_;
     EventQueue &eq_;
     TimedNetwork &net_;
     CompletionSink &sink_;
-    CacheArray cache_;
-    std::optional<SnoopFilter> snoop_;
+    CacheBank &bank_;
     std::optional<Txn> txn_;
     CacheCtrlStats stats_;
     TraceRecorder *trc_ = nullptr;

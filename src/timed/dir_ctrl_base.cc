@@ -132,6 +132,18 @@ TimedDirCtrl::processInvAck(const Message &msg)
 }
 
 void
+TimedDirCtrl::takeCountedAcks(Addr a, unsigned n)
+{
+    const auto it = busy_.find(a);
+    DIR2B_ASSERT(it != busy_.end() &&
+                     it->second.kind == Busy::Kind::AwaitingAcks &&
+                     it->second.acksRemaining > n,
+                 "counted INVACKs for block ", a,
+                 " would close or overrun its ack barrier");
+    it->second.acksRemaining -= n;
+}
+
+void
 TimedDirCtrl::eraseQueued(std::size_t i)
 {
     if (queue_[i].msg.kind == MsgKind::MRequest)

@@ -14,13 +14,21 @@
  * order.
  *
  * A broadcast is modelled as fan-out to the n-1 point-to-point links,
- * exactly as the two-bit paper costs it.
+ * exactly as the two-bit paper costs it: every copy claims its own
+ * port slot and counts as a message.  The copies that share a delivery
+ * tick reach the broadcast receiver (TimedSystem) together, in
+ * destination order, as one kernel event weighted by their number.
+ * They would have had consecutive places in the kernel's FIFO, so this
+ * changes no simulated outcome.  A message whose delivery does nothing
+ * (sendCounted) is a count-only kernel event.
  */
 
 #ifndef DIR2B_TIMED_TIMED_NET_HH
 #define DIR2B_TIMED_TIMED_NET_HH
 
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "net/message.hh"
@@ -39,6 +47,13 @@ class TimedNetwork
   public:
     using Handler = std::function<void(unsigned src, const Message &)>;
 
+    /** Receiver of the copies of one broadcast that share a delivery
+     *  tick, in destination order; `last` marks the group delivered
+     *  last (that broadcast's final copy is its last element). */
+    using GroupHandler =
+        std::function<void(unsigned src, const Message &,
+                           std::span<const unsigned> dsts, bool last)>;
+
     /** @param trc optional trace recorder: every message becomes an
      *  instant event (paper mnemonic, src/dst endpoints) on a "net"
      *  track. */
@@ -48,8 +63,15 @@ class TimedNetwork
     /** Register the receiver of endpoint ep. */
     void connect(unsigned ep, Handler handler);
 
+    /** Register the receiver of broadcast copies. */
+    void connectBroadcast(GroupHandler handler);
+
     /** Send one message; delivered after the network latency. */
     void send(unsigned src, unsigned dst, Message msg);
+
+    /** send() for a message whose delivery does nothing: a count-only
+     *  kernel event.  A later real message to dst must follow it. */
+    void sendCounted(unsigned src, unsigned dst, const Message &msg);
 
     /** Fan a message out to every listed destination. */
     void broadcast(unsigned src, const std::vector<unsigned> &dsts,
@@ -66,9 +88,24 @@ class TimedNetwork
     std::uint64_t busBusyCycles() const { return busBusy_.value(); }
 
   private:
+    /** One delivery tick's copies of a broadcast (pooled). */
+    struct Group
+    {
+        unsigned src = 0;
+        Message msg;
+        bool last = false;
+        std::vector<unsigned> dsts;
+    };
+
     /** Claim transmission capacity for a message sent at sentAt;
      *  returns the delivery tick and accrues contention statistics. */
     Tick claimDeliveryAt(unsigned dst, Tick sentAt);
+
+    /** Count, trace and claim a point-to-point message sent now;
+     *  returns its delivery tick. */
+    Tick post(unsigned src, unsigned dst, const Message &msg);
+
+    void deliverGroup(std::uint32_t g);
 
     EventQueue &eq_;
     Tick latency_;
@@ -76,6 +113,7 @@ class TimedNetwork
     TraceRecorder *trc_ = nullptr;
     std::uint32_t trk_ = 0;
     std::vector<Handler> handlers_;
+    GroupHandler onBroadcast_;
     std::vector<Tick> portFreeAt_;
     Tick busFreeAt_ = 0;
     Counter messages_;
@@ -83,6 +121,10 @@ class TimedNetwork
     Counter dataMsgs_;
     Counter portWait_;
     Counter busBusy_;
+    std::vector<Group> groups_;
+    std::vector<std::uint32_t> freeGroups_;
+    /** broadcast()'s (delivery tick, group) pairs. */
+    std::vector<std::pair<Tick, std::uint32_t>> ticks_;
 };
 
 } // namespace dir2b

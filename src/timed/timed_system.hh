@@ -17,8 +17,10 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <vector>
 
+#include "cache/cache_bank.hh"
 #include "core/two_bit_directory.hh"
 #include "sim/event_queue.hh"
 #include "timed/cache_ctrl.hh"
@@ -94,6 +96,7 @@ class TimedSystem : private CompletionSink
         return *dirs_.at(m);
     }
     const TimedNetwork &network() const { return *net_; }
+    const EventQueue &queue() const { return eq_; }
     const TimedConfig &config() const { return cfg_; }
 
     /** Current simulated time (the trace/debug hook's clock). */
@@ -127,6 +130,15 @@ class TimedSystem : private CompletionSink
     void dumpStats(std::ostream &os) const;
 
   private:
+    /**
+     * Deliver one tick's copies of a broadcast.  Holders run their
+     * controller.  For any other cache a copy only costs a cycle, and
+     * a BROADINV's INVACK is counted, not delivered, except for the
+     * broadcast's final copy, whose INVACK closes the ack barrier.
+     */
+    void deliverBroadcast(unsigned src, const Message &msg,
+                          std::span<const unsigned> dsts, bool last);
+
     void issueNext(ProcId p);
     /** Check a completion against the oracle; schedule the next. */
     void onComplete(const MemRef &ref, Value v) override;
@@ -144,6 +156,9 @@ class TimedSystem : private CompletionSink
     TimedConfig cfg_;
     EventQueue eq_;
     std::unique_ptr<TimedNetwork> net_;
+    CacheBank bank_;
+    /** deliverBroadcast()'s copy of the block's holder bitmap. */
+    std::vector<std::uint64_t> holders_;
     std::vector<std::unique_ptr<TwoBitCacheCtrl>> caches_;
     std::vector<std::unique_ptr<TimedDirCtrl>> dirs_;
     TimedOracle oracle_;

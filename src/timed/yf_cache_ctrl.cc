@@ -29,22 +29,14 @@ YfCacheCtrl::receive(unsigned src, const Message &msg)
 void
 YfCacheCtrl::onPurge(const Message &msg)
 {
-    if (snoop_ && !snoop_->check(msg.addr)) {
-        DIR2B_ASSERT(!cache_.peek(msg.addr),
-                     "duplicate directory out of sync on PURGE of ",
-                     msg.addr);
-        // Copy gone: our EJECT is in flight and will answer.
-        ++stats_.filteredCmds;
-        return;
-    }
-    ++stats_.stolenCycles;
-
-    CacheLine *l = cache_.lookup(msg.addr, false);
+    CacheLine *l = bank_.lookup(id_, msg.addr, false);
     if (!l) {
         // Raced our ejection; the in-flight EJECT answers the purge
         // (clean EJECT(read)s answer too — ejectReadAnswersWait()).
+        chargeAbsent(msg);
         return;
     }
+    ++stats_.stolenCycles;
 
     // Answer whether dirty or clean: the controller cannot know which
     // (the silent upgrade is invisible to it).
@@ -61,14 +53,14 @@ YfCacheCtrl::onPurge(const Message &msg)
         // Downgrade: exclusive (clean or silently dirtied) -> Shared.
         l->state = LineState::Shared;
     } else {
-        dropLine(msg.addr);
+        // §3.2.5 transplanted: the purge doubles as MGRANTED(false)
+        // for a pending upgrade.
+        const bool converts = txn_ && txn_->phase == Phase::AwaitGrant &&
+                              txn_->ref.addr == msg.addr;
+        dropLine(msg.addr, converts);
         ++stats_.invalidationsApplied;
-        if (txn_ && txn_->phase == Phase::AwaitGrant &&
-            txn_->ref.addr == msg.addr) {
-            // §3.2.5 transplanted: the purge doubles as
-            // MGRANTED(false) for our pending upgrade.
+        if (converts)
             convertToWriteMiss();
-        }
     }
 }
 

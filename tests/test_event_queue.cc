@@ -350,5 +350,60 @@ TEST(EventQueue, NextTickExactSeesIntoBuckets)
     EXPECT_EQ(eq.nextTickExact(), maxTick);
 }
 
+TEST(EventQueue, WeightedEventCountsItsWeightInOneDispatch)
+{
+    EventQueue eq;
+    int calls = 0;
+    eq.scheduleAt(5, [&] { ++calls; }, 7);
+    eq.scheduleAt(5, [&] { ++calls; });
+    EXPECT_EQ(eq.pending(), 8u);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(eq.executed(), 8u);
+    EXPECT_EQ(eq.dispatched(), 2u);
+    EXPECT_EQ(eq.pending(), 0u);
+
+    // The budget counts logical events: a weight-3 event does not fit
+    // in a budget of 2.
+    eq.scheduleAt(9, [&] { ++calls; }, 3);
+    std::uint64_t budget = 2;
+    EXPECT_FALSE(eq.runUntil(10, budget));
+    EXPECT_EQ(calls, 2);
+    budget = 3;
+    EXPECT_TRUE(eq.runUntil(10, budget));
+    EXPECT_EQ(calls, 3);
+    EXPECT_EQ(eq.executed(), 11u);
+}
+
+TEST(EventQueue, CountOnlyEventsArePendingUntilTheirTick)
+{
+    EventQueue eq;
+    eq.scheduleAt(1, [&] {
+        eq.countAt(3, 20);
+        eq.countAt(3, 30);
+        eq.countAt(0, 25);
+    });
+    eq.scheduleAt(40, [] {});
+    std::uint64_t budget = 100;
+    EXPECT_TRUE(eq.runUntil(2, budget));
+    EXPECT_EQ(eq.pending(), 4u);
+    EXPECT_EQ(eq.executed(), 1u);
+    // A lane's front is the earliest pending tick.
+    EXPECT_EQ(eq.nextTickExact(), 20u);
+
+    // Retired exactly below the horizon: 20 and 25, not 30.
+    EXPECT_TRUE(eq.runUntil(30, budget));
+    EXPECT_EQ(eq.executed(), 3u);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.nextTickExact(), 30u);
+    EXPECT_EQ(eq.dispatched(), 1u);
+
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.dispatched(), 2u);
+    EXPECT_EQ(eq.nextTickExact(), maxTick);
+}
+
 } // namespace
 } // namespace dir2b

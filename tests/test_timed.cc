@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -192,6 +193,54 @@ TEST(TimedSystem, SnoopFilterAbsorbsUselessBroadcasts)
     EXPECT_GT(withFilter.filteredCmds, 0u);
     // Network traffic is NOT reduced (the paper's point).
     EXPECT_EQ(noFilter.netMessages, withFilter.netMessages);
+}
+
+// The duplicate directory changes no timing, only where a command's
+// cost lands: per cache, what it filters is exactly what stole a cycle
+// without it and found no copy.  At 64 processors nearly every
+// broadcast copy reaches a cache without the block.
+TEST(TimedSystem, SnoopFilterSplitsEachCachesCommandsExactly)
+{
+    auto run = [](bool filter) {
+        TimedConfig cfg = config(64);
+        cfg.numModules = 4;
+        cfg.network = NetKind::Crossbar;
+        cfg.perBlockConcurrency = true;
+        cfg.snoopFilter = filter;
+        auto sys = std::make_unique<TimedSystem>(cfg);
+        SyntheticConfig scfg;
+        scfg.numProcs = 64;
+        scfg.q = 0.3;
+        scfg.w = 0.5;
+        scfg.sharedBlocks = 8;
+        scfg.privateBlocks = 16;
+        scfg.hotBlocks = 8;
+        scfg.seed = 5;
+        SyntheticStream stream(scfg);
+        sys->run(
+            [&stream](ProcId p) -> std::optional<MemRef> {
+                return stream.nextFor(p);
+            },
+            100);
+        return sys;
+    };
+    const auto plain = run(false);
+    const auto filtered = run(true);
+    std::uint64_t absorbed = 0;
+    for (ProcId p = 0; p < 64; ++p) {
+        const auto &a = plain->cacheCtrl(p).stats();
+        const auto &b = filtered->cacheCtrl(p).stats();
+        EXPECT_EQ(a.filteredCmds.value(), 0u);
+        EXPECT_EQ(a.stolenCycles.value(),
+                  b.stolenCycles.value() + b.filteredCmds.value())
+            << "cache " << p;
+        EXPECT_EQ(a.invalidationsApplied.value(),
+                  b.invalidationsApplied.value());
+        absorbed += b.filteredCmds.value();
+    }
+    EXPECT_GT(absorbed, 0u);
+    EXPECT_EQ(plain->network().messagesSent(),
+              filtered->network().messagesSent());
 }
 
 struct TimedParam

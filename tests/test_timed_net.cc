@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -97,21 +98,47 @@ TEST(TimedNetwork, FifoHoldsUnderPortContention)
     EXPECT_GT(net.portWaitCycles(), 0u);
 }
 
+/** Connect endpoints 0..n-1 to nothing and collect broadcast groups
+ *  as (delivery tick, destinations, last). */
+struct GroupLog
+{
+    struct Entry
+    {
+        Tick at;
+        std::vector<unsigned> dsts;
+        bool last;
+    };
+    std::vector<Entry> groups;
+
+    void
+    attach(EventQueue &eq, TimedNetwork &net, unsigned n)
+    {
+        for (unsigned ep = 0; ep < n; ++ep)
+            net.connect(ep, [](unsigned, const Message &) { FAIL(); });
+        net.connectBroadcast([this, &eq](unsigned src, const Message &m,
+                                         std::span<const unsigned> d,
+                                         bool last) {
+            EXPECT_TRUE(m.broadcast);
+            EXPECT_EQ(src, 3u);
+            groups.push_back({eq.now(), {d.begin(), d.end()}, last});
+        });
+    }
+};
+
 TEST(TimedNetwork, BroadcastFansOutToAllListed)
 {
     EventQueue eq;
     TimedNetwork net(eq, 4, 3, NetKind::Ideal);
-    std::vector<unsigned> hit;
-    for (unsigned ep = 0; ep < 3; ++ep) {
-        net.connect(ep, [&hit, ep](unsigned, const Message &m) {
-            EXPECT_TRUE(m.broadcast);
-            hit.push_back(ep);
-        });
-    }
-    net.connect(3, [](unsigned, const Message &) { FAIL(); });
+    GroupLog log;
+    log.attach(eq, net, 4);
     net.broadcast(3, {0, 1, 2}, msg(MsgKind::BroadInv, 9));
     eq.run();
-    EXPECT_EQ(hit.size(), 3u);
+    // One delivery tick: one group, one dispatch, three events.
+    ASSERT_EQ(log.groups.size(), 1u);
+    EXPECT_EQ(log.groups[0].dsts, (std::vector<unsigned>{0, 1, 2}));
+    EXPECT_TRUE(log.groups[0].last);
+    EXPECT_EQ(eq.executed(), 3u);
+    EXPECT_EQ(eq.dispatched(), 1u);
     EXPECT_EQ(net.broadcastsSent(), 1u);
     EXPECT_EQ(net.messagesSent(), 3u);
 }
@@ -120,20 +147,44 @@ TEST(TimedNetwork, BusBroadcastIsOneTransaction)
 {
     EventQueue eq;
     TimedNetwork net(eq, 4, 3, NetKind::Bus);
-    std::vector<Tick> arrivals;
-    for (unsigned ep = 0; ep < 3; ++ep) {
-        net.connect(ep, [&](unsigned, const Message &) {
-            arrivals.push_back(eq.now());
-        });
-    }
-    net.connect(3, [](unsigned, const Message &) {});
+    GroupLog log;
+    log.attach(eq, net, 4);
     net.broadcast(3, {0, 1, 2}, msg(MsgKind::BroadInv, 9));
     eq.run();
     // Everyone hears the same bus slot.
-    ASSERT_EQ(arrivals.size(), 3u);
-    EXPECT_EQ(arrivals[0], arrivals[1]);
-    EXPECT_EQ(arrivals[1], arrivals[2]);
+    ASSERT_EQ(log.groups.size(), 1u);
+    EXPECT_EQ(log.groups[0].dsts.size(), 3u);
     EXPECT_EQ(net.busBusyCycles(), 1u);
+}
+
+// On a crossbar each copy takes its own port's next slot: copies to
+// busy ports arrive later, in their own group, and the group holding
+// the latest copy is marked last.
+TEST(TimedNetwork, CrossbarBroadcastGroupsCopiesByDeliveryTick)
+{
+    EventQueue eq;
+    TimedNetwork net(eq, 4, 3, NetKind::Crossbar);
+    GroupLog log;
+    log.attach(eq, net, 4);
+    net.broadcast(3, {0, 1, 2}, msg(MsgKind::BroadInv, 9));
+    net.broadcast(3, {1, 2}, msg(MsgKind::BroadQuery, 8));
+    net.broadcast(3, {0, 1, 2}, msg(MsgKind::BroadInv, 7));
+    eq.run();
+    ASSERT_EQ(log.groups.size(), 4u);
+    EXPECT_EQ(log.groups[0].at, 3u);
+    EXPECT_EQ(log.groups[0].dsts, (std::vector<unsigned>{0, 1, 2}));
+    EXPECT_EQ(log.groups[1].at, 4u); // second broadcast
+    EXPECT_EQ(log.groups[1].dsts, (std::vector<unsigned>{1, 2}));
+    EXPECT_EQ(log.groups[2].at, 4u); // third broadcast, free port 0
+    EXPECT_EQ(log.groups[2].dsts, (std::vector<unsigned>{0}));
+    EXPECT_FALSE(log.groups[2].last);
+    EXPECT_EQ(log.groups[3].at, 5u);
+    EXPECT_EQ(log.groups[3].dsts, (std::vector<unsigned>{1, 2}));
+    EXPECT_TRUE(log.groups[3].last);
+    EXPECT_EQ(eq.executed(), 8u);
+    EXPECT_EQ(eq.dispatched(), 4u);
+    // Second broadcast: 1 + 1; third: 1 at port 0, 2 + 2 at 1 and 2.
+    EXPECT_EQ(net.portWaitCycles(), 7u);
 }
 
 TEST(TimedNetwork, BusSerialisesEverything)
