@@ -10,6 +10,11 @@
  * final image of every cache, so a storage or speed change that moves
  * a single command, tally, line or value fails here.
  *
+ * A second set of pins fixes the tiered directory store under a RAM
+ * budget: a scheme's directory reads drive the store's clock and
+ * promotions, so moving, dropping or adding one read changes the
+ * page-tier counters even where every coherence counter stays put.
+ *
  * The digests were captured before the per-block holder index existed
  * (when broadcasts visited every cache one by one).  Regenerate them
  * ONLY for an intentional protocol change, never for an optimisation.
@@ -23,6 +28,7 @@
 #include "proto/protocol_factory.hh"
 #include "trace/reference.hh"
 #include "trace/synthetic.hh"
+#include "util/random.hh"
 
 namespace dir2b
 {
@@ -167,6 +173,88 @@ TEST(FuncGoldenDigest, EverySchemeIsCovered)
         for (const GoldenCase &c : goldenCases)
             found = found || name == c.scheme;
         EXPECT_TRUE(found) << name << " has no golden digest";
+    }
+}
+
+constexpr std::uint64_t tierRefs = 20000;
+
+/** Tier counters after a scattered stream under a 2 KiB directory
+ *  budget; `counts` receives an FNV-1a digest of AccessCounts.  Each
+ *  hot block sits in its own directory page, so a hit on one usually
+ *  finds its page cold; the rest are misses over 256 pages. */
+DirStoreCounters
+tieredRun(const std::string &scheme, ProcId n, std::uint64_t &counts)
+{
+    ProtoConfig cfg;
+    cfg.numProcs = n;
+    cfg.numModules = 1;
+    cfg.cacheGeom.sets = 16;
+    cfg.cacheGeom.ways = 2;
+    cfg.dirRamBudget = 2048;
+    auto proto = makeProtocol(scheme, cfg);
+
+    Rng rng(0x7153d1);
+    for (std::uint64_t i = 0; i < tierRefs; ++i) {
+        const auto p = static_cast<ProcId>(rng.range(n));
+        const Addr a = rng.chance(0.6) ? rng.range(64) * 4099
+                                       : rng.range(Addr{1} << 20);
+        proto->access(p, a, rng.chance(0.3), i + 1);
+    }
+    counts = 0xcbf29ce484222325ULL;
+    AccessCounts::forEachField(
+        proto->counts(),
+        [&](const char *, std::uint64_t v) { counts = fold(counts, v); });
+    return proto->dirStoreCounters();
+}
+
+struct TierCase
+{
+    const char *scheme;
+    ProcId procs;
+    std::uint64_t compressions;
+    std::uint64_t decompressions;
+    std::uint64_t hotPages;
+    std::uint64_t coldPages;
+    std::uint64_t diskPages;
+    std::uint64_t residentBytes;
+    std::uint64_t counts; ///< AccessCounts digest
+};
+
+// two_bit never reads its directory on a hit; the table schemes read
+// it on every reference, so their page traffic differs from it.
+// clang-format off
+const TierCase tierCases[] = {
+    {"two_bit",        4,  31984, 31729, 1, 31, 224, 2017,
+     0xaa1d84ca70f92ef2ULL},
+    {"two_bit",        64, 26757, 26502, 1, 10, 245, 2014,
+     0xda74cc8a039155d6ULL},
+    {"two_bit_table",  4,  34129, 33874, 1, 31, 224, 2017,
+     0xaa1d84ca70f92ef2ULL},
+    {"two_bit_table",  64, 27105, 26850, 1, 10, 245, 2014,
+     0xda74cc8a039155d6ULL},
+    {"full_map_table", 4,  34129, 33874, 1, 34, 221, 2036,
+     0x7f12ea27680bdaa3ULL},
+    {"full_map_table", 64, 27105, 26850, 1, 10, 245, 2014,
+     0xbd2fe7e61860364cULL},
+};
+// clang-format on
+
+TEST(FuncGoldenTiers, BudgetedDirectoryCountersArePinned)
+{
+    for (const TierCase &c : tierCases) {
+        std::uint64_t counts = 0;
+        const DirStoreCounters d = tieredRun(c.scheme, c.procs, counts);
+        const std::string at =
+            std::string(c.scheme) + " at " + std::to_string(c.procs);
+        EXPECT_EQ(d.ramBudgetBytes, 2048u) << at;
+        EXPECT_EQ(d.compressions, c.compressions) << at;
+        EXPECT_EQ(d.decompressions, c.decompressions) << at;
+        EXPECT_EQ(d.hotPages, c.hotPages) << at;
+        EXPECT_EQ(d.coldPages, c.coldPages) << at;
+        EXPECT_EQ(d.diskPages, c.diskPages) << at;
+        EXPECT_EQ(d.residentBytes, c.residentBytes) << at;
+        EXPECT_EQ(counts, c.counts) << at << ": counts digest 0x"
+                                    << std::hex << counts;
     }
 }
 
