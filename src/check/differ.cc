@@ -246,6 +246,7 @@ fuzzTrace(const FuzzConfig &cfg, std::uint64_t index)
     sc.sharedBlocks = cfg.sharedBlocks;
     sc.privateBlocks = cfg.privateBlocks;
     sc.hotBlocks = cfg.hotBlocks;
+    sc.spaceBlocks = cfg.spaceBlocks;
     sc.seed = rng.next();
     SyntheticStream stream(sc);
     return recordStream(stream, cfg.refsPerSeed);
@@ -295,6 +296,7 @@ lockstepTrace(const LockstepConfig &cfg,
     pc.numModules = cfg.numModules;
     pc.cacheGeom.sets = cfg.sets;
     pc.cacheGeom.ways = cfg.ways;
+    pc.dirRamBudget = cfg.dirRamBudget;
 
     const auto ref = makeProtocol(cfg.reference, pc);
     const auto sub = makeProtocol(cfg.subject, pc);
@@ -384,8 +386,9 @@ std::optional<DiffFailure>
 lockstepFuzz(const FuzzConfig &cfg, unsigned threads)
 {
     const auto pairs = lockstepPairs();
-    // Task grid: pairs x {no flush, flushEvery=97} x seeds.
-    const std::size_t variants = pairs.size() * 2;
+    // Task grid: pairs x {no flush, flushEvery=97, budgeted} x seeds.
+    constexpr std::size_t modes = 3;
+    const std::size_t variants = pairs.size() * modes;
     std::vector<std::optional<DiffFailure>> verdicts(
         variants * cfg.numSeeds);
 
@@ -393,15 +396,21 @@ lockstepFuzz(const FuzzConfig &cfg, unsigned threads)
         const std::size_t seed = i / variants;
         const std::size_t variant = i % variants;
         LockstepConfig lc;
-        lc.reference = pairs[variant / 2].first;
-        lc.subject = pairs[variant / 2].second;
+        const std::size_t mode = variant % modes;
+        lc.reference = pairs[variant / modes].first;
+        lc.subject = pairs[variant / modes].second;
         lc.numProcs = cfg.diff.numProcs;
         lc.numModules = cfg.diff.numModules;
         lc.sets = cfg.diff.sets;
         lc.ways = cfg.diff.ways;
         // A prime stride so flushes drift across the trace phases.
-        lc.flushEvery = (variant % 2) ? 97 : 0;
-        verdicts[i] = lockstepTrace(lc, fuzzTrace(cfg, seed));
+        lc.flushEvery = mode == 1 ? 97 : 0;
+        FuzzConfig traceCfg = cfg;
+        if (mode == 2) {
+            lc.dirRamBudget = 2048;
+            traceCfg.spaceBlocks = std::uint64_t{1} << 20;
+        }
+        verdicts[i] = lockstepTrace(lc, fuzzTrace(traceCfg, seed));
     }, threads);
 
     for (const auto &v : verdicts)

@@ -114,6 +114,9 @@ struct FuzzConfig
     std::size_t sharedBlocks = 6;
     std::size_t privateBlocks = 12;
     std::size_t hotBlocks = 4;
+    /** SyntheticConfig::spaceBlocks: scatter the blocks over this many
+     *  (0 = the compact layout). */
+    std::uint64_t spaceBlocks = 0;
 };
 
 /** One failing seed of a campaign, with its trace for shrinking. */
@@ -165,6 +168,8 @@ struct LockstepConfig
      *  (0 = never); drives the table's evict rows against the
      *  hand-written flushCache path. */
     std::uint64_t flushEvery = 0;
+    /** ProtoConfig::dirRamBudget of both schemes (0 = unlimited). */
+    std::uint64_t dirRamBudget = 0;
 };
 
 /** The (reference, subject) pairs held bit-identical by construction:
@@ -178,7 +183,9 @@ lockstepTrace(const LockstepConfig &cfg,
               const std::vector<MemRef> &trace);
 
 /** Campaign: every lockstep pair over the fuzz traces of `cfg`, with
- *  and without periodic flushes.  First divergence or nullopt. */
+ *  and without periodic flushes, and with the trace scattered over
+ *  2^20 blocks under a 2 KiB directory budget, so directory pages
+ *  cycle through every tier.  First divergence or nullopt. */
 std::optional<DiffFailure>
 lockstepFuzz(const FuzzConfig &cfg, unsigned threads = 0);
 

@@ -56,6 +56,10 @@ class TwoBitDirectory
         return static_cast<GlobalState>((word >> bitOffset(a)) & 0x3);
     }
 
+    /** get(a) without the value: keeps a budgeted store's clock and
+     *  page tiers exactly as a read would leave them. */
+    void touch(Addr a) { words_.touch(a / blocksPerWord); }
+
     /** The paper's SETSTATE(a, st). */
     void
     set(Addr a, GlobalState st)

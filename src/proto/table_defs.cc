@@ -78,11 +78,13 @@ buildTwoBit()
     t.dirBitsFixed = 2;
     t.dirBitsPerProc = 0;
     t.rows = {
-        // Hits never touch the directory.
-        row(P1, E::ReadHit, {}, P1),
-        row(PS, E::ReadHit, {}, PS),
-        row(PM, E::ReadHit, {}, PM),
-        row(PM, E::WriteHitDirty, {act(ActionOp::WriteLine)}, PM),
+        // A read hit, or a write hit on a dirty copy (only PresentM
+        // has one), is local in every state: the interpreter runs it
+        // without reading the directory, except to touch a budgeted
+        // directory's page as the read would.
+        row(anyState, E::ReadHit, {}, anyState),
+        row(anyState, E::WriteHitDirty, {act(ActionOp::WriteLine)},
+            anyState),
 
         // §3.2.4 write hit on a clean copy: MREQUEST + MGRANTED;
         // Present1 grants without a broadcast (the payoff of keeping
@@ -184,9 +186,10 @@ buildFullMap()
     t.dirBitsFixed = 1;   // the modified bit
     t.dirBitsPerProc = 1; // one presence bit per cache
     t.rows = {
-        row(S, E::ReadHit, {}, S),
-        row(M, E::ReadHit, {}, M),
-        row(M, E::WriteHitDirty, {act(ActionOp::WriteLine)}, M),
+        // Local hits, as in two_bit (a dirty copy implies Modified).
+        row(anyState, E::ReadHit, {}, anyState),
+        row(anyState, E::WriteHitDirty, {act(ActionOp::WriteLine)},
+            anyState),
 
         // Write hit on a clean copy: directed INVALIDATEs to the
         // exactly-known other holders, no broadcast ever.

@@ -216,6 +216,11 @@ class TieredStore
         return const_cast<TieredStore *>(this)->getMut(idx);
     }
 
+    /** get() without the value: the same recency bit, promotion and
+     *  budget enforcement, for a caller that must not perturb the
+     *  tiering but has no use for the element. */
+    void touch(std::uint64_t idx) { getMut(idx); }
+
     /** Mutable element at idx; materialises its page zero-filled.
      *  The reference is valid only until the next store operation. */
     T &

@@ -2,9 +2,9 @@
  * @file
  * Unit suite for the table-driven protocol engine (proto/table_engine):
  * table validation (row-numbered rejection messages), first-match guard
- * evaluation order, stall/retry replay, and the metadata the rest of
- * the system derives from tables (flush support, directory cost,
- * directory store counters).
+ * evaluation order, stall/retry replay, any-state hit rows and their
+ * inline path, and the metadata the rest of the system derives from
+ * tables (flush support, directory cost, directory store counters).
  */
 
 #include <gtest/gtest.h>
@@ -100,8 +100,9 @@ TEST(TableValidate, ShippedTablesAreValid)
 
 TEST(TableValidate, ShippedTableShapes)
 {
-    EXPECT_EQ(twoBitTable().rows.size(), 17u);
-    EXPECT_EQ(fullMapTable().rows.size(), 13u);
+    // Both fold their local hits into two any-state rows.
+    EXPECT_EQ(twoBitTable().rows.size(), 15u);
+    EXPECT_EQ(fullMapTable().rows.size(), 12u);
     EXPECT_EQ(moesiTable().rows.size(), 26u);
     EXPECT_TRUE(twoBitTable().handlesEvict());
     EXPECT_TRUE(moesiTable().handlesEvict());
@@ -200,6 +201,68 @@ TEST(TableValidate, StateCountAndConstraintArityChecked)
     TransitionTable u = tinyTable();
     u.constraints.clear();
     EXPECT_TRUE(rejectsWith(u, "0 state constraints"));
+}
+
+/** tinyTable() with row `i` turned into an any-state row. */
+TransitionTable
+anyStateAt(std::size_t i)
+{
+    TransitionTable t = tinyTable();
+    t.rows[i].state = anyState;
+    t.rows[i].next = anyState;
+    return t;
+}
+
+TEST(TableValidate, AnyStateHitRowsAreValid)
+{
+    TransitionTable t = tinyTable();
+    for (std::size_t i = 0; i < 3; ++i) {
+        t.rows[i].state = anyState;
+        t.rows[i].next = anyState;
+    }
+    EXPECT_TRUE(t.validate().empty());
+}
+
+TEST(TableValidate, AnyStateRowMustBeAHit)
+{
+    EXPECT_TRUE(rejectsWith(anyStateAt(3), "row 3 (*, ReadMiss",
+                            "only a hit may fire in every state"));
+}
+
+TEST(TableValidate, AnyStateRowMustHaveTheAlwaysGuard)
+{
+    TransitionTable t = anyStateAt(0);
+    t.rows[0].guard = TableGuard::OtherHoldersNone;
+    EXPECT_TRUE(rejectsWith(t, "row 0 (*, ReadHit, OtherHoldersNone)",
+                            "must have the Always guard"));
+}
+
+TEST(TableValidate, AnyStateRowActionsMustBeLineLocal)
+{
+    TransitionTable t = anyStateAt(1);
+    t.rows[1].actions.push_back(act(ActionOp::SetDirState, 0));
+    EXPECT_TRUE(rejectsWith(t, "row 1 (*, WriteHitDirty",
+                            "action 1 (SetDirState): an any-state row "
+                            "may only Bump, SetLine or WriteLine"));
+
+    TransitionTable u = anyStateAt(0);
+    u.rows[0].actions = {act(ActionOp::SendBroadInv)};
+    EXPECT_TRUE(rejectsWith(u, "row 0", "action 0 (SendBroadInv)"));
+}
+
+TEST(TableValidate, AnyStateRowMustBeItsEventsOnlyRow)
+{
+    // A per-state row after the any-state row, and before it.
+    TransitionTable t = anyStateAt(0);
+    t.rows.push_back({0, EventClass::ReadHit, TableGuard::Always, {}, 0});
+    EXPECT_TRUE(rejectsWith(t, "row 7 (Only, ReadHit",
+                            "shares its event with row 0"));
+
+    TransitionTable u = tinyTable();
+    u.rows.push_back(
+        {anyState, EventClass::ReadHit, TableGuard::Always, {}, anyState});
+    EXPECT_TRUE(rejectsWith(u, "row 7 (*, ReadHit",
+                            "shares its event with row 0"));
 }
 
 #if GTEST_HAS_DEATH_TEST
@@ -345,17 +408,61 @@ TEST(TableMetadata, DirStoreCountersComposeWithRamBudget)
     proto.checkInvariants();
 }
 
+TEST(TableInlineHits, AnyStateWriteHitCleanRunsItsLineActions)
+{
+    // The inline hit path's Bump and SetLine only run for a row like
+    // this one: a silent upgrade that counts an MREQUEST.
+    TransitionTable t = tinyTable();
+    t.rows[2] = {anyState, EventClass::WriteHitClean, TableGuard::Always,
+                 {bump(TableCounter::MRequests),
+                  act(ActionOp::SetLine,
+                      static_cast<std::uint8_t>(LineState::Modified)),
+                  act(ActionOp::WriteLine)},
+                 anyState};
+    ASSERT_TRUE(t.validate().empty());
+
+    TableProtocol indexed(t, smallConfig());
+    TableProtocol linear(t, smallConfig());
+    linear.useLinearDispatch(true);
+    for (TableProtocol *proto : {&indexed, &linear}) {
+        proto->access(0, 5, false); // read miss: fill Shared
+        EXPECT_EQ(proto->access(0, 5, true, 42), 42u);
+        const CacheLine *l = proto->cache(0).peek(5);
+        ASSERT_TRUE(l && l->valid());
+        EXPECT_EQ(l->state, LineState::Modified);
+        EXPECT_EQ(l->value, 42u);
+        EXPECT_EQ(proto->access(0, 5, false), 42u); // read hit
+        EXPECT_EQ(proto->counts().mrequests, 1u);
+        EXPECT_EQ(proto->counts().writeHitsClean, 1u);
+        EXPECT_EQ(proto->rowHits()[2], 1u);
+        EXPECT_EQ(proto->rowHits()[0], 1u);
+        EXPECT_EQ(proto->dirStateOf(5), 0u);
+    }
+    EXPECT_EQ(indexed.rowHits(), linear.rowHits());
+}
+
 TEST(TableDispatch, IndexedAndLinearDispatchAreEquivalent)
 {
     // The dense (state x event-class) index may only skip rows that
     // could never match; every query must land on the same
-    // declaration-ordered first match as the linear scan.  Drive each
-    // shipped table through an identical mixed workload with the
+    // declaration-ordered first match as the linear scan, and an
+    // inline any-state hit must fire the row the scan finds.  Drive
+    // each shipped table through an identical mixed workload with the
     // index on and off and require bit-identical observable state:
-    // returned values, counters, row coverage, directory states.
+    // returned values, counters, row coverage, directory states.  The
+    // budgeted run spreads the blocks one per directory page under a
+    // 2 KiB budget: the scan reads the directory on every hit and the
+    // inline path only touches it, so their tier counters must agree.
+    struct Run
+    {
+        std::uint64_t budget;
+        Addr stride;
+    };
+    for (const Run run : {Run{0, 1}, Run{2048, 4099}})
     for (const TransitionTable &t :
          {twoBitTable(), fullMapTable(), moesiTable()}) {
         ProtoConfig pc = smallConfig(4);
+        pc.dirRamBudget = run.budget;
         TableProtocol indexed(t, pc);
         TableProtocol linear(t, pc);
         linear.useLinearDispatch(true);
@@ -364,7 +471,7 @@ TEST(TableDispatch, IndexedAndLinearDispatchAreEquivalent)
         Value nonce = 0;
         for (int i = 0; i < 4000; ++i) {
             const ProcId p = static_cast<ProcId>(rng.range(4));
-            const Addr a = rng.range(48);
+            const Addr a = rng.range(48) * run.stride;
             const bool w = rng.chance(0.3);
             const Value v = w ? ++nonce : 0;
             ASSERT_EQ(indexed.access(p, a, w, v),
@@ -384,8 +491,22 @@ TEST(TableDispatch, IndexedAndLinearDispatchAreEquivalent)
             linear.counts(),
             [&](const char *, std::uint64_t v) { vl.push_back(v); });
         EXPECT_EQ(vi, vl) << t.name;
+        const DirStoreCounters di = indexed.dirStoreCounters();
+        const DirStoreCounters dl = linear.dirStoreCounters();
+        EXPECT_EQ(di.compressions, dl.compressions) << t.name;
+        EXPECT_EQ(di.decompressions, dl.decompressions) << t.name;
+        EXPECT_EQ(di.diskPageWrites, dl.diskPageWrites) << t.name;
+        EXPECT_EQ(di.diskPageReads, dl.diskPageReads) << t.name;
+        EXPECT_EQ(di.hotPages, dl.hotPages) << t.name;
+        EXPECT_EQ(di.coldPages, dl.coldPages) << t.name;
+        EXPECT_EQ(di.diskPages, dl.diskPages) << t.name;
+        EXPECT_EQ(di.residentBytes, dl.residentBytes) << t.name;
+        if (run.budget) {
+            EXPECT_GT(di.decompressions, 1000u) << t.name;
+        }
         for (Addr a = 0; a < 48; ++a)
-            ASSERT_EQ(indexed.dirStateOf(a), linear.dirStateOf(a))
+            ASSERT_EQ(indexed.dirStateOf(a * run.stride),
+                      linear.dirStateOf(a * run.stride))
                 << t.name << " dir state differs at block " << a;
         indexed.checkInvariants();
         linear.checkInvariants();
@@ -407,8 +528,10 @@ TEST(TableFactory, TableProtocolsAreRegistered)
 
 TEST(TableFactory, DescribeRowReadsLikeTheDocs)
 {
-    EXPECT_EQ(describeRow(twoBitTable(), 0),
-              "(Present1, ReadHit, Always) -> Present1");
+    EXPECT_EQ(describeRow(twoBitTable(), 2),
+              "(Present1, WriteHitClean, Always) -> PresentM");
+    // An any-state row's state and next print as "*".
+    EXPECT_EQ(describeRow(twoBitTable(), 0), "(*, ReadHit, Always) -> *");
 }
 
 } // namespace

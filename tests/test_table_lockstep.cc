@@ -78,6 +78,40 @@ TEST(Lockstep, FlushPathMatchesHandWrittenEvictions)
     }
 }
 
+TEST(Lockstep, BudgetedDirectoriesMatchWhilePagesCycle)
+{
+    // A table hit skips the directory read but touches a budgeted
+    // directory's page; with the trace scattered over 256 pages and a
+    // 2 KiB budget, pages cycle on nearly every reference.
+    FuzzConfig fc = campaign();
+    fc.spaceBlocks = std::uint64_t{1} << 20;
+    for (const auto &[ref, sub] : lockstepPairs()) {
+        LockstepConfig lc;
+        lc.reference = ref;
+        lc.subject = sub;
+        lc.dirRamBudget = 2048;
+        for (std::uint64_t seed = 0; seed < 2; ++seed) {
+            const auto trace = fuzzTrace(fc, seed);
+            const auto fail = lockstepTrace(lc, trace);
+            EXPECT_FALSE(fail)
+                << sub << " seed " << seed << ": " << fail->kind
+                << " at step " << fail->step << ": " << fail->detail;
+
+            ProtoConfig pc;
+            pc.numProcs = lc.numProcs;
+            pc.numModules = lc.numModules;
+            pc.cacheGeom.sets = lc.sets;
+            pc.cacheGeom.ways = lc.ways;
+            pc.dirRamBudget = lc.dirRamBudget;
+            const auto proto = makeProtocol(sub, pc);
+            for (const MemRef &r : trace)
+                proto->access(r.proc, r.addr, r.write, 1);
+            EXPECT_GT(proto->dirStoreCounters().decompressions, 1000u)
+                << sub << " seed " << seed;
+        }
+    }
+}
+
 TEST(Lockstep, CampaignEntryPointIsClean)
 {
     const auto fail = lockstepFuzz(campaign());
