@@ -31,14 +31,24 @@
  * or randomness — so simulations are bit-identical at any budget.
  *
  * A budgeted store cycles pages between the tiers about once per
- * access on a scattered workload, so the cycle itself makes no heap
- * allocation in the steady state:
+ * access on a scattered workload, so the cycle makes no heap allocation
+ * in the steady state and costs only the page's live words:
  *
- *  - **Pooled raw pages.**  Demotion hands the raw buffer to a free
- *    list of at most two pages; promotion and fresh pages take from
- *    it.  A recycled buffer holds stale data, so a fresh page is
- *    zero-filled and decoding writes every word.  The cap keeps the
- *    pool from holding the warm-up peak's spare pages forever.
+ *  - **Live-word mask.**  Each hot page carries a bitmask, one bit per
+ *    word, of the words that may be nonzero: ref() sets the word's bit
+ *    and decoding sets the bit of every nonzero word it writes (a word
+ *    written back to zero keeps its bit).  Words outside the mask are
+ *    zero, so the encoder jumps over unmasked stretches with ctz and
+ *    emits exactly the blob a word-by-word encoder would.  The mask is
+ *    dead while the page is cold or on disk, so it shares storage with
+ *    the inline blob and the disk offset: pages hold at most 128 words
+ *    and the page record stays 56 bytes.
+ *  - **Zeroed page pool.**  Demotion zeroes the masked words of the raw
+ *    buffer and hands it to a free list of at most two pages;
+ *    promotion and fresh pages take from it.  Pooled and newly
+ *    allocated buffers are therefore all zero: a fresh page needs no
+ *    fill, and decoding writes only the nonzero runs.  The cap keeps
+ *    the pool from holding the warm-up peak's spare pages forever.
  *  - **Inline cold blobs.**  A blob of up to 16 bytes (any one-run
  *    page of words up to 8 bytes) lives inside the page record;
  *    longer ones take a heap buffer of exactly their length.  The
@@ -66,6 +76,8 @@
 #define DIR2B_UTIL_TIERED_STORE_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -102,12 +114,47 @@ namespace detail
 // All fields little-endian via memcpy (portable, alignment-free).  A
 // page whose RLE form would be at least as long as the raw copy is
 // stored raw, so no blob exceeds 1 + n * sizeof(T) bytes.
+//
+// The codec works on live words.  Bit i of mask[i / 64] is set when
+// word i of the page may be nonzero; every word outside the mask must
+// be zero.  A caller that knows nothing passes an all-ones mask.
 
-/** RLE-encode the n words of page (1 <= n <= 2^15) into out, which
- *  must hold 1 + n * sizeof(T) bytes; returns the blob length. */
+/** First word at or after `from` whose mask bit equals `live`, or n. */
+inline std::size_t
+nextMaskBit(const std::uint64_t *mask, std::size_t from, std::size_t n,
+            bool live)
+{
+    while (from < n) {
+        const std::uint64_t word = live ? mask[from / 64] : ~mask[from / 64];
+        const std::uint64_t bits = word >> (from % 64);
+        if (bits != 0)
+            return std::min(n, from + std::countr_zero(bits));
+        from = (from / 64 + 1) * 64;
+    }
+    return n;
+}
+
+/** Set the mask bits of words [lo, hi). */
+inline void
+setMaskRange(std::uint64_t *mask, std::size_t lo, std::size_t hi)
+{
+    while (lo < hi) {
+        const std::size_t shift = lo % 64;
+        const std::size_t k = std::min<std::size_t>(hi - lo, 64 - shift);
+        const std::uint64_t ones =
+            k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+        mask[lo / 64] |= ones << shift;
+        lo += k;
+    }
+}
+
+/** RLE-encode the n words of page (1 <= n <= 2^15), whose nonzero
+ *  words all lie in mask, into out, which must hold 1 + n * sizeof(T)
+ *  bytes; returns the blob length. */
 template <typename T>
 std::size_t
-rleEncode(const T *page, std::size_t n, std::uint8_t *out)
+rleEncode(const T *page, std::size_t n, const std::uint64_t *mask,
+          std::uint8_t *out)
 {
     constexpr std::size_t runBytes = 2 + sizeof(T);
     const std::size_t rawBytes = 1 + n * sizeof(T);
@@ -123,17 +170,23 @@ rleEncode(const T *page, std::size_t n, std::uint8_t *out)
         }
         const T value = page[i];
         std::size_t j = i + 1;
-        if (j < n && page[j] == value) {
-            // Long runs dominate: skip matching 8-word blocks with a
-            // branch-free (vectorisable) test, then finish word-wise.
-            for (; j + 8 <= n; j += 8) {
+        if (value == 0) {
+            // Only a masked word can end a zero run: jump to each.
+            while ((j = nextMaskBit(mask, j, n, true)) < n && page[j] == 0)
+                ++j;
+        } else if (j < n && page[j] == value) {
+            // A nonzero run ends at the next unmasked word at the
+            // latest.  Long runs dominate: skip matching 8-word blocks
+            // with a branch-free (vectorisable) test, then word-wise.
+            const std::size_t end = nextMaskBit(mask, j, n, false);
+            for (; j + 8 <= end; j += 8) {
                 T diff = 0;
                 for (std::size_t k = 0; k < 8; ++k)
                     diff |= page[j + k] ^ value;
                 if (diff != 0)
                     break;
             }
-            while (j < n && page[j] == value)
+            while (j < end && page[j] == value)
                 ++j;
         }
         const auto count = static_cast<std::uint16_t>(j - i);
@@ -148,27 +201,27 @@ rleEncode(const T *page, std::size_t n, std::uint8_t *out)
     return pos;
 }
 
-/** Decode a blob of len bytes into the n words of page, overwriting
- *  all of them.  Reads stay within blob[0, len): a truncated or
- *  malformed blob decodes as far as it is intact and the rest of the
- *  page is zero. */
+/** Decode a blob of len bytes into the n words of page, which must be
+ *  all zero, writing only its nonzero runs and setting their bits in
+ *  mask.  Reads stay within blob[0, len): a truncated or malformed
+ *  blob decodes as far as it is intact and the rest of the page stays
+ *  zero. */
 template <typename T>
 void
 rleDecode(const std::uint8_t *blob, std::size_t len, T *page,
-          std::size_t n)
+          std::size_t n, std::uint64_t *mask)
 {
     constexpr std::size_t runBytes = 2 + sizeof(T);
-    std::size_t out = 0;
     if (len >= 1 && blob[0] == 0) {
         const std::size_t bytes = std::min(len - 1, n * sizeof(T));
-        auto *dst = reinterpret_cast<unsigned char *>(page);
-        std::memcpy(dst, blob + 1, bytes);
-        std::memset(dst + bytes, 0, n * sizeof(T) - bytes);
+        std::memcpy(page, blob + 1, bytes);
+        setMaskRange(mask, 0, (bytes + sizeof(T) - 1) / sizeof(T));
         return;
     }
     if (len >= 3 && blob[0] == 1) {
         std::uint16_t nRuns = 0;
         std::memcpy(&nRuns, blob + 1, 2);
+        std::size_t out = 0;
         std::size_t in = 3;
         for (std::uint16_t r = 0;
              r < nRuns && out < n && in + runBytes <= len;
@@ -178,11 +231,13 @@ rleDecode(const std::uint8_t *blob, std::size_t len, T *page,
             std::memcpy(&count, blob + in, 2);
             std::memcpy(&value, blob + in + 2, sizeof(T));
             const std::size_t k = std::min<std::size_t>(count, n - out);
-            std::fill_n(page + out, k, value);
+            if (value != 0) {
+                std::fill_n(page + out, k, value);
+                setMaskRange(mask, out, out + k);
+            }
             out += k;
         }
     }
-    std::fill(page + out, page + n, T{});
 }
 
 } // namespace detail
@@ -193,8 +248,8 @@ class TieredStore
 {
     static_assert(std::is_unsigned_v<T>,
                   "TieredStore elements must be unsigned integers");
-    static_assert(PageBits >= 1 && PageBits <= 15,
-                  "RLE run counts are 16-bit");
+    static_assert(PageBits >= 1 && PageBits <= 7,
+                  "a page's live-word mask must fit in its record");
 
   public:
     static constexpr std::size_t pageElems = std::size_t{1} << PageBits;
@@ -227,23 +282,13 @@ class TieredStore
     ref(std::uint64_t idx)
     {
         const std::uint64_t pageIdx = idx >> PageBits;
-        if (pageIdx == cachedIdx_) {
-            pages_[cachedSlot_].refBit = true;
-            return cached_[idx & (pageElems - 1)];
-        }
-        auto [it, fresh] =
-            dir_.tryEmplace(pageIdx, static_cast<std::uint32_t>(pages_.size()));
-        if (fresh) {
-            pages_.emplace_back();
-            Page &pg = pages_.back();
-            pg.pageIdx = pageIdx;
-            pg.raw = takeBuffer();
-            std::fill_n(pg.raw.get(), pageElems, T{});
-            pg.tier = Tier::Hot;
-            hot_.push_back(it->second);
-        }
-        T *page = promote(it->second);
-        return page[idx & (pageElems - 1)];
+        if (pageIdx != cachedIdx_)
+            materialise(pageIdx);
+        const std::size_t word = idx & (pageElems - 1);
+        Page &pg = pages_[cachedSlot_];
+        pg.refBit = true;
+        pg.markLive(word);
+        return cached_[word];
     }
 
     /** Number of materialised pages, across all tiers. */
@@ -292,16 +337,24 @@ class TieredStore
      *  many before the queue is compacted. */
     static constexpr std::size_t spillQueueSlack = 16;
 
+    /** One bit per word of a hot page: set where the word may be
+     *  nonzero (see the file comment). */
+    using WordMask = std::array<std::uint64_t, (pageElems + 63) / 64>;
+    static_assert(sizeof(WordMask) <= inlineBlobBytes,
+                  "the live-word mask shares the inline blob's storage");
+
     struct Page
     {
         std::uint64_t pageIdx = 0;
         std::unique_ptr<T[]> raw; ///< Hot tier storage
         /** Cold blob longer than inlineBlobBytes. */
         std::unique_ptr<std::uint8_t[]> heapBlob;
+        /** One member per tier; each is written before it is read. */
         union
         {
+            WordMask mask{}; ///< Hot tier live words
             std::uint8_t inlineBlob[inlineBlobBytes]; ///< short cold blob
-            std::uint64_t diskOff = 0; ///< Disk tier location
+            std::uint64_t diskOff; ///< Disk tier location
         };
         std::uint32_t blobLen = 0; ///< logical cold / disk blob length
         std::uint32_t gen = 0;     ///< demotions so far (spill queue tag)
@@ -313,7 +366,15 @@ class TieredStore
         {
             return blobLen <= inlineBlobBytes ? inlineBlob : heapBlob.get();
         }
+
+        void
+        markLive(std::size_t word)
+        {
+            mask[word / 64] |= std::uint64_t{1} << (word % 64);
+        }
     };
+    static_assert(sizeof(void *) != 8 || sizeof(Page) == 56,
+                  "the page record is 56 bytes on LP64");
 
     /** A demotion awaiting its turn to spill; live while the page is
      *  still cold from that same demotion. */
@@ -343,6 +404,25 @@ class TieredStore
         return page[idx & (pageElems - 1)];
     }
 
+    /** ref()'s slow path: create the page if it is new, then promote
+     *  it.  Kept out of ref() so that the cached path stays small. */
+    void
+    materialise(std::uint64_t pageIdx)
+    {
+        auto [it, fresh] =
+            dir_.tryEmplace(pageIdx, static_cast<std::uint32_t>(pages_.size()));
+        const std::uint32_t slot = it->second;
+        if (fresh) {
+            // A new record is hot with an empty mask; the buffer is zero.
+            pages_.emplace_back();
+            Page &pg = pages_.back();
+            pg.pageIdx = pageIdx;
+            pg.raw = takeBuffer();
+            hot_.push_back(slot);
+        }
+        promote(slot);
+    }
+
     /** Bring the page to the hot tier, pin it in the inline cache,
      *  then demote/spill others until the budget holds. */
     T *
@@ -353,21 +433,24 @@ class TieredStore
           case Tier::Hot:
             break;
           case Tier::Cold:
-            pg.raw = takeBuffer();
-            detail::rleDecode(pg.blob(), pg.blobLen, pg.raw.get(),
-                              pageElems);
+            if (pg.heapBlob) {
+                decode(pg, pg.heapBlob.get());
+                pg.heapBlob.reset();
+            } else {
+                // The mask overwrites the inline blob: decode a copy.
+                std::uint8_t blob[inlineBlobBytes];
+                std::memcpy(blob, pg.inlineBlob, pg.blobLen);
+                decode(pg, blob);
+            }
             coldBytes_ -= pg.blobLen;
             --coldCount_;
-            pg.heapBlob.reset();
             pg.tier = Tier::Hot;
             hot_.push_back(slot);
             ++stats_.decompressions;
             break;
           case Tier::Disk:
             readSegment(pg.diskOff, scratch(), pg.blobLen);
-            pg.raw = takeBuffer();
-            detail::rleDecode(scratch(), pg.blobLen, pg.raw.get(),
-                              pageElems);
+            decode(pg, scratch());
             --diskCount_;
             pg.tier = Tier::Hot;
             hot_.push_back(slot);
@@ -382,6 +465,17 @@ class TieredStore
         cached_ = pg.raw.get();
         enforceBudget(slot);
         return cached_;
+    }
+
+    /** Make pg's blob its hot page: a zero pooled buffer with only the
+     *  nonzero runs written, and the mask of those runs. */
+    void
+    decode(Page &pg, const std::uint8_t *blob)
+    {
+        pg.raw = takeBuffer();
+        pg.mask = WordMask{};
+        detail::rleDecode(blob, pg.blobLen, pg.raw.get(), pageElems,
+                          pg.mask.data());
     }
 
     void
@@ -420,8 +514,10 @@ class TieredStore
                 ++hand_;
                 continue;
             }
-            const std::size_t len =
-                detail::rleEncode(pg.raw.get(), pageElems, scratch());
+            // The inline blob overwrites the mask: keep a copy.
+            const WordMask mask = pg.mask;
+            const std::size_t len = detail::rleEncode(
+                pg.raw.get(), pageElems, mask.data(), scratch());
             pg.blobLen = static_cast<std::uint32_t>(len);
             if (len <= inlineBlobBytes) {
                 std::memcpy(pg.inlineBlob, scratch(), len);
@@ -430,7 +526,7 @@ class TieredStore
                     std::make_unique_for_overwrite<std::uint8_t[]>(len);
                 std::memcpy(pg.heapBlob.get(), scratch(), len);
             }
-            recycle(std::move(pg.raw));
+            recycle(std::move(pg.raw), mask);
             pg.tier = Tier::Cold;
             coldBytes_ += len;
             ++coldCount_;
@@ -533,21 +629,27 @@ class TieredStore
 
     // --- page buffers ----------------------------------------------
 
-    /** A raw page buffer with stale contents: pooled if one is spare. */
+    /** An all-zero raw page buffer: pooled if one is spare. */
     std::unique_ptr<T[]>
     takeBuffer()
     {
         if (pooled_ > 0)
             return std::move(pool_[--pooled_]);
-        return std::make_unique_for_overwrite<T[]>(pageElems);
+        return std::make_unique<T[]>(pageElems);
     }
 
-    /** Return a demoted page's buffer to the pool, or free it. */
+    /** Return a demoted page's buffer to the pool, zeroing the words
+     *  its mask names, or free it. */
     void
-    recycle(std::unique_ptr<T[]> buf)
+    recycle(std::unique_ptr<T[]> buf, const WordMask &mask)
     {
-        if (pooled_ < maxPooledPages)
-            pool_[pooled_++] = std::move(buf);
+        if (pooled_ == maxPooledPages)
+            return;
+        for (std::size_t w = 0; w < mask.size(); ++w) {
+            for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1)
+                buf[64 * w + std::countr_zero(bits)] = T{};
+        }
+        pool_[pooled_++] = std::move(buf);
     }
 
     /** Encoder output and disk staging: one blob of the largest size,

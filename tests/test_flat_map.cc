@@ -73,8 +73,9 @@ TEST(FlatMap, EraseByIterator)
     EXPECT_EQ(m.size(), 9u);
     EXPECT_EQ(m.find(4), m.end());
     for (std::uint64_t k = 0; k < 10; ++k) {
-        if (k != 4)
+        if (k != 4) {
             EXPECT_EQ(m.find(k)->second, static_cast<int>(k));
+        }
     }
 }
 
@@ -118,8 +119,9 @@ TEST(FlatMap, DifferentialAgainstUnorderedMap)
             auto it = m.find(key);
             auto rit = ref.find(key);
             ASSERT_EQ(it == m.end(), rit == ref.end());
-            if (rit != ref.end())
+            if (rit != ref.end()) {
                 EXPECT_EQ(it->second, rit->second);
+            }
             break;
           }
         }

@@ -25,6 +25,7 @@
 #include "check/shrink.hh"
 #include "core/two_bit_protocol.hh"
 #include "proto/protocol_factory.hh"
+#include "temp_path.hh"
 
 namespace dir2b
 {
@@ -203,8 +204,7 @@ TEST(PlantedMutation, CampaignCatchesShrinksAndReplays)
     }
 
     // Archive as a seed file and read it back.
-    const std::string path =
-        ::testing::TempDir() + "planted_mutation.seed";
+    const std::string path = testTempPath("planted_mutation.seed");
     const ReplaySeed seed = makeSeed(fc.diff, minimal);
     writeSeedFile(path, seed);
     const ReplaySeed back = readSeedFile(path);
@@ -234,8 +234,7 @@ TEST(SeedFile, DefaultSchemeListRoundTrips)
     ReplaySeed seed;
     seed.numProcs = 4;
     seed.trace = {{0, 1, true}, {3, 1, false}};
-    const std::string path =
-        ::testing::TempDir() + "default_protocols.seed";
+    const std::string path = testTempPath("default_protocols.seed");
     writeSeedFile(path, seed);
     const ReplaySeed back = readSeedFile(path);
     EXPECT_TRUE(back.protocols.empty());

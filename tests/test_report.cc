@@ -14,6 +14,7 @@
 
 #include "report/bench_cli.hh"
 #include "report/report.hh"
+#include "temp_path.hh"
 
 namespace dir2b
 {
@@ -271,8 +272,7 @@ TEST(Report, ValidatorRejectsTraceReplayBeforeV4)
 
 TEST(Report, WriteAndReadArtifactFile)
 {
-    const std::string path =
-        testing::TempDir() + "dir2b_report_roundtrip.json";
+    const std::string path = testTempPath("dir2b_report_roundtrip.json");
     Json cells = Json::array();
     cells.push(Json::object()
                    .set("section", "s")

@@ -5,8 +5,9 @@
  * std::vector oracle at several RAM budgets, compression round-trips
  * on homogeneous and mixed pages, eviction-then-reload identity
  * through the cold and disk tiers, the RLE codec on blob-size
- * boundaries and on truncated or tampered blobs, spill order, and the
- * page cycle's heap allocations (counted by a global operator new).
+ * boundaries, on truncated or tampered blobs and against a naive
+ * word-by-word encoder under random live-word masks, spill order, and
+ * the page cycle's heap allocations (counted by a global operator new).
  */
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,6 +61,10 @@ using SmallStore = TieredStore<std::uint64_t, 3>;
 // 16 four-byte words (64 raw bytes): one-, two- and three-run blobs
 // are 9, 15 and 21 bytes, straddling the 16-byte inline limit.
 using WordStore = TieredStore<std::uint32_t, 4>;
+
+// A live-word mask naming every word of pages up to 128 words long,
+// for codec calls that know nothing about which words are live.
+constexpr std::uint64_t allWords[2] = {~std::uint64_t{0}, ~std::uint64_t{0}};
 
 /** Random get/ref stream vs a dense std::vector oracle. */
 void
@@ -133,8 +139,9 @@ TEST(TieredStore, BudgetBoundsResidentBytes)
     std::mt19937_64 rng(7);
     for (int i = 0; i < 5000; ++i)
         store.ref(rng() % (1 << 14)) = rng();
-    if (store.stats().diskUnavailable == 0)
+    if (store.stats().diskUnavailable == 0) {
         EXPECT_LE(store.residentBytes(), budget);
+    }
     EXPECT_EQ(store.hotPages() + store.coldPages() + store.diskPages(),
               store.pageCount());
 }
@@ -308,9 +315,10 @@ TEST(TieredStore, StalePooledBufferReadsBackExactly)
     // One hot page at a time (budget below two raw pages).  Page A is
     // full of mixed nonzero words; once it is demoted its raw buffer
     // is pooled, and the next promotion (one-run page B) decodes into
-    // that stale buffer.  Every word must come back as written.
+    // that buffer.  Every word must come back as written.  Then a
+    // fresh page F takes A's pooled buffer and must read all zero.
     WordStore store(127);
-    const std::uint64_t pa = 1, pb = 2, pe = 3;
+    const std::uint64_t pa = 1, pb = 2, pe = 3, pf = 4;
     const auto aWord = [](std::uint64_t e) {
         return static_cast<std::uint32_t>(0x9e3779b9u * (e / 2 + 1));
     };
@@ -331,6 +339,15 @@ TEST(TieredStore, StalePooledBufferReadsBackExactly)
         EXPECT_EQ(store.get(pa * WordStore::pageElems + e), aWord(e)) << e;
         EXPECT_EQ(store.get(pe * WordStore::pageElems + e), 5u) << e;
     }
+
+    // Promote A, then demote it by promoting E: A's buffer is the last
+    // one pooled, so the fresh page F takes it.
+    const std::uint32_t *aBuf2 = &store.ref(pa * WordStore::pageElems);
+    EXPECT_EQ(store.get(pe * WordStore::pageElems), 5u);
+    const std::uint32_t *fBuf = &store.ref(pf * WordStore::pageElems);
+    EXPECT_EQ(fBuf, aBuf2) << "F did not take A's pooled buffer";
+    for (std::uint64_t e = 0; e < WordStore::pageElems; ++e)
+        EXPECT_EQ(store.get(pf * WordStore::pageElems + e), 0u) << e;
 }
 
 TEST(TieredStore, BlobSizesStraddleTheInlineLimit)
@@ -370,9 +387,9 @@ TEST(TieredStore, RleExactlyRawSizeTakesTheRawForm)
     std::uint8_t out[1 + Store::rawPageBytes];
     const std::uint32_t five[8] = {1, 1, 2, 2, 3, 3, 4, 5};
     const std::uint32_t four[8] = {1, 1, 2, 2, 3, 3, 4, 4};
-    EXPECT_EQ(detail::rleEncode(five, 8, out), 33u);
+    EXPECT_EQ(detail::rleEncode(five, 8, allWords, out), 33u);
     EXPECT_EQ(out[0], 0u);
-    EXPECT_EQ(detail::rleEncode(four, 8, out), 27u);
+    EXPECT_EQ(detail::rleEncode(four, 8, allWords, out), 27u);
     EXPECT_EQ(out[0], 1u);
 
     // In the store the demoted blob spills at once (two raw pages
@@ -387,14 +404,22 @@ TEST(TieredStore, RleExactlyRawSizeTakesTheRawForm)
 }
 
 /** Decode blob[0, len) from an exactly sized heap copy (so a sanitizer
- *  catches any read past len) into a page pre-filled with garbage. */
+ *  catches any read past len) into a zero page; the decoder's mask must
+ *  name every nonzero word it wrote. */
 std::vector<std::uint32_t>
 decodeCopy(const std::vector<std::uint8_t> &blob, std::size_t len)
 {
     const std::vector<std::uint8_t> copy(blob.begin(),
                                          blob.begin() + len);
-    std::vector<std::uint32_t> page(16, 0xdeadbeefu);
-    detail::rleDecode(copy.data(), copy.size(), page.data(), page.size());
+    std::vector<std::uint32_t> page(16, 0);
+    std::uint64_t mask = 0;
+    detail::rleDecode(copy.data(), copy.size(), page.data(), page.size(),
+                      &mask);
+    for (std::size_t i = 0; i < page.size(); ++i) {
+        if (page[i] != 0) {
+            EXPECT_TRUE(mask >> i & 1) << "word " << i << " not in mask";
+        }
+    }
     return page;
 }
 
@@ -407,7 +432,7 @@ TEST(TieredStoreCodec, TruncatedBlobsDecodeTheIntactPrefix)
     std::fill_n(page.begin(), 5, 1u);
     std::vector<std::uint8_t> blob(1 + 16 * 4);
     const std::size_t len =
-        detail::rleEncode(page.data(), 16, blob.data());
+        detail::rleEncode(page.data(), 16, allWords, blob.data());
     ASSERT_EQ(len, 21u);
     for (std::size_t cut = 0; cut <= len; ++cut) {
         const std::size_t whole = cut < 3 ? 0 : (cut - 3) / 6;
@@ -425,7 +450,7 @@ TEST(TieredStoreCodec, TruncatedBlobsDecodeTheIntactPrefix)
     for (std::size_t i = 0; i < 16; ++i)
         mixed[i] = 0x01010101u * static_cast<std::uint32_t>(i + 1);
     const std::size_t rawLen =
-        detail::rleEncode(mixed.data(), 16, blob.data());
+        detail::rleEncode(mixed.data(), 16, allWords, blob.data());
     ASSERT_EQ(rawLen, 65u);
     ASSERT_EQ(blob[0], 0u);
     const auto partial = decodeCopy(blob, 1 + 4 * 5 + 2);
@@ -484,6 +509,177 @@ TEST(TieredStoreCodec, TamperedBlobsStayInBoundsAndFillThePage)
                                                    0, 0},
                          9),
               zeros);
+}
+
+/** The encoder's contract, restated word by word: maximal runs of equal
+ *  words, or the raw copy when the runs would take at least as many
+ *  bytes. */
+template <typename T>
+std::vector<std::uint8_t>
+naiveRle(const std::vector<T> &page)
+{
+    std::vector<std::pair<std::uint16_t, T>> runs;
+    for (const T w : page) {
+        if (!runs.empty() && runs.back().second == w)
+            ++runs.back().first;
+        else
+            runs.emplace_back(1, w);
+    }
+    const std::size_t rawBytes = 1 + page.size() * sizeof(T);
+    std::vector<std::uint8_t> out;
+    const auto put = [&out](const void *p, std::size_t n) {
+        const auto *b = static_cast<const std::uint8_t *>(p);
+        out.insert(out.end(), b, b + n);
+    };
+    if (3 + runs.size() * (2 + sizeof(T)) >= rawBytes) {
+        out.push_back(0);
+        put(page.data(), page.size() * sizeof(T));
+        return out;
+    }
+    out.push_back(1);
+    const auto nRuns = static_cast<std::uint16_t>(runs.size());
+    put(&nRuns, 2);
+    for (const auto &[count, value] : runs) {
+        put(&count, 2);
+        put(&value, sizeof(T));
+    }
+    return out;
+}
+
+/** A page of exactly `runs` runs (at most its length) at random cut
+ *  points, each value zero half the time and else one of a few small
+ *  values or a random word, always unequal to its neighbour's. */
+template <typename T>
+std::vector<T>
+randomPage(std::size_t n, std::size_t runs, std::mt19937_64 &rng)
+{
+    std::vector<std::size_t> cuts{0, n};
+    while (cuts.size() < runs + 1) {
+        const std::size_t c = 1 + rng() % (n - 1);
+        if (std::find(cuts.begin(), cuts.end(), c) == cuts.end())
+            cuts.push_back(c);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<T> page(n);
+    for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+        const unsigned kind = rng() % 4;
+        T v = kind < 2 ? T{0}
+              : kind == 2 ? static_cast<T>(1 + rng() % 3)
+                          : static_cast<T>(rng());
+        if (r > 0 && v == page[cuts[r] - 1])
+            ++v;
+        std::fill(page.begin() + cuts[r], page.begin() + cuts[r + 1], v);
+    }
+    return page;
+}
+
+/** Runs whose RLE blob is at least as long as the raw copy. */
+template <typename T>
+constexpr std::size_t
+rawRuns(std::size_t n)
+{
+    const std::size_t rawBytes = 1 + n * sizeof(T);
+    return (rawBytes - 3 + (2 + sizeof(T)) - 1) / (2 + sizeof(T));
+}
+
+template <typename Store>
+class TieredStoreCodecProperty : public ::testing::Test
+{};
+
+using CodecStores =
+    ::testing::Types<TieredStore<std::uint32_t, 3>,
+                     TieredStore<std::uint32_t, 4>,
+                     TieredStore<std::uint64_t, 7>>;
+TYPED_TEST_SUITE(TieredStoreCodecProperty, CodecStores);
+
+TYPED_TEST(TieredStoreCodecProperty, MaskGuidedEncoderMatchesNaive)
+{
+    // Random pages under random superset masks: every nonzero word is
+    // masked, and so are random zero words.  The blob must be the naive
+    // encoder's byte for byte, and must decode back into a zero page.
+    using T = std::remove_cvref_t<decltype(std::declval<TypeParam &>().get(0))>;
+    constexpr std::size_t n = TypeParam::pageElems;
+    const std::size_t boundary = rawRuns<T>(n);
+    std::mt19937_64 rng(29 + n);
+    std::vector<std::uint8_t> out(1 + n * sizeof(T));
+    for (int trial = 0; trial < 3000; ++trial) {
+        // A third of the pages sit at the raw-fallback boundary.
+        const std::size_t runs =
+            trial % 3 == 0
+                ? std::min(n, boundary - 1 + rng() % 3)
+                : 1 + rng() % std::min<std::size_t>(n, 2 * boundary);
+        const std::vector<T> page = randomPage<T>(n, runs, rng);
+        std::uint64_t mask[2] = {0, 0};
+        const unsigned extra = rng() % 3; // none, some or all words
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool live = page[i] != 0 || extra == 2 ||
+                              (extra == 1 && rng() % 4 == 0);
+            if (live)
+                mask[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        const std::size_t len =
+            detail::rleEncode(page.data(), n, mask, out.data());
+        const std::vector<std::uint8_t> want = naiveRle(page);
+        ASSERT_EQ(std::vector<std::uint8_t>(out.begin(), out.begin() + len),
+                  want)
+            << "trial " << trial << " runs " << runs;
+
+        std::vector<T> back(n, 0);
+        std::uint64_t backMask[2] = {0, 0};
+        detail::rleDecode(out.data(), len, back.data(), n, backMask);
+        ASSERT_EQ(back, page) << "trial " << trial;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (page[i] != 0) {
+                ASSERT_TRUE(backMask[i / 64] >> (i % 64) & 1)
+                    << "trial " << trial << " word " << i;
+            }
+        }
+    }
+}
+
+TYPED_TEST(TieredStoreCodecProperty, StoreBlobsMatchNaiveWithZeroedWords)
+{
+    // Through the store: write a random page with ref(), write some of
+    // its words back to 0 with ref() (masked but zero), then demote it
+    // (one hot page at a time).  Its blob must take exactly the naive
+    // length, and the page must read back exactly, every cycle.
+    using T = std::remove_cvref_t<decltype(std::declval<TypeParam &>().get(0))>;
+    constexpr std::size_t n = TypeParam::pageElems;
+    const std::size_t boundary = rawRuns<T>(n);
+    std::mt19937_64 rng(31 + n);
+    TypeParam store(2 * TypeParam::rawPageBytes - 1);
+    std::vector<std::vector<T>> pages;
+    for (std::uint64_t p = 0; p < 40; ++p) {
+        const std::size_t runs =
+            p % 4 == 0 ? std::min(n, boundary - 1 + p / 4 % 3)
+                       : 1 + rng() % std::min<std::size_t>(n, 2 * boundary);
+        std::vector<T> page = randomPage<T>(n, runs, rng);
+        const std::uint64_t base = (p + 1) * n;
+        // Page 0 is hot here and again after the demotion below.
+        const std::uint64_t before =
+            store.compressedBytes() + store.segmentBytes();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (page[i] != 0)
+                store.ref(base + i) = page[i];
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (rng() % 3 == 0) {
+                store.ref(base + i) = static_cast<T>(rng() | 1);
+                store.ref(base + i) = 0;
+                page[i] = 0;
+            }
+        }
+        store.ref(0) = 0; // demotes page p
+        EXPECT_EQ(store.compressedBytes() + store.segmentBytes() - before,
+                  naiveRle(page).size())
+            << "page " << p;
+        pages.push_back(std::move(page));
+    }
+    for (std::uint64_t p = 0; p < pages.size(); ++p) {
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(store.get((p + 1) * n + i), pages[p][i])
+                << "page " << p << " word " << i;
+    }
 }
 
 TEST(TieredStore, SpillQueueStaysBoundedWithoutSpills)
@@ -567,8 +763,9 @@ TEST(TwoBitDirectoryTiered, HugeSparseSpaceStaysWithinBudget)
         dir.set(a, GlobalState::Present1);
         touched.push_back(a);
     }
-    if (dir.storeStats().diskUnavailable == 0)
+    if (dir.storeStats().diskUnavailable == 0) {
         EXPECT_LE(dir.residentBytes(), 64u * 1024u);
+    }
     for (const Addr a : touched)
         EXPECT_EQ(dir.get(a), GlobalState::Present1);
 }

@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include "temp_path.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_binary.hh"
 #include "util/random.hh"
@@ -24,13 +25,13 @@ namespace dir2b
 namespace
 {
 
-/** Fresh temp path per test; removed on destruction. */
+/** Temp path private to the running test; removed on destruction. */
 class TempTrace
 {
   public:
     explicit TempTrace(const std::string &tag)
     {
-        path_ = testing::TempDir() + "trace_binary_" + tag + ".d2t";
+        path_ = testTempPath("trace_binary_" + tag + ".d2t");
         std::remove(path_.c_str());
     }
 

@@ -27,6 +27,7 @@
 #include "check/differ.hh"
 #include "proto/protocol_factory.hh"
 #include "system/func_system.hh"
+#include "temp_path.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_binary.hh"
@@ -41,7 +42,7 @@ class TempTrace
   public:
     explicit TempTrace(const std::string &tag)
     {
-        path_ = testing::TempDir() + "trace_replay_" + tag + ".d2t";
+        path_ = testTempPath("trace_replay_" + tag + ".d2t");
         std::remove(path_.c_str());
     }
 
