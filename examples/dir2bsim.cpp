@@ -153,7 +153,9 @@ usage(const char *argv0)
         "                      K/M/G); cold directory pages compress\n"
         "                      and spill to disk past it.  0 =\n"
         "                      unlimited.  Results are bit-identical\n"
-        "                      at any budget\n"
+        "                      at any budget.  Schemes with no tiered\n"
+        "                      directory (classical, --timed fm, ...)\n"
+        "                      refuse it\n"
         "  --space-blocks N    hash-scatter the synthetic working set\n"
         "                      over an N-block address space (0 =\n"
         "                      classic compact layout) — exercises\n"
@@ -331,6 +333,19 @@ protoConfig(const Options &o, ProcId procs)
     return cfg;
 }
 
+/** The --protocol scheme at `procs` processors.  A --dir-ram-budget
+ *  that the scheme has no tiered directory to apply to is an error,
+ *  not a silent no-op. */
+std::unique_ptr<Protocol>
+makeScheme(const Options &o, ProcId procs)
+{
+    auto proto = makeProtocol(o.protocol, protoConfig(o, procs));
+    if (o.dirRamBudget > 0 && proto->dirStoreCounters().ramBudgetBytes == 0)
+        DIR2B_FATAL("--dir-ram-budget: protocol '", o.protocol,
+                    "' keeps no tiered directory to budget");
+    return proto;
+}
+
 Json
 configJson(const Options &o)
 {
@@ -459,12 +474,14 @@ runSweep(const Options &o)
         DirStoreCounters dirStore;
     };
     std::vector<Cell> cells(o.sweepProcs.size());
+    // Refuse a budget the scheme would ignore once, before the cells
+    // start, rather than from each worker.
+    makeScheme(o, o.sweepProcs.front());
     parallelFor(
         0, cells.size(),
         [&](std::size_t i) {
             const ProcId procs = o.sweepProcs[i];
-            auto proto = makeProtocol(o.protocol,
-                                      protoConfig(o, procs));
+            auto proto = makeScheme(o, procs);
             auto stream = makeStream(o, procs);
             RunOptions opts;
             opts.numRefs = o.refs;
@@ -559,6 +576,9 @@ runTimed(Options o)
     else
         DIR2B_FATAL("--timed knows two_bit|full_map|yen_fu "
                     "(tb|fm|yf), not '", o.protocol, "'");
+    if (o.dirRamBudget > 0 && cfg.protocol != TimedProto::TwoBit)
+        DIR2B_FATAL("--dir-ram-budget: timed protocol '", o.protocol,
+                    "' keeps no tiered directory to budget");
     cfg.numProcs = procs;
     cfg.numModules = o.modules;
     cfg.cacheGeom.sets = o.sets;
@@ -767,7 +787,7 @@ main(int argc, char **argv)
     }
 
     const auto start = std::chrono::steady_clock::now();
-    auto proto = makeProtocol(o.protocol, protoConfig(o, procs));
+    auto proto = makeScheme(o, procs);
 
     RunOptions opts;
     opts.numRefs = reader && !o.refsSet ? reader->totalRecords()

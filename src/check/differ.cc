@@ -283,8 +283,7 @@ countsDiff(const AccessCounts &ref, const AccessCounts &sub)
 std::vector<std::pair<std::string, std::string>>
 lockstepPairs()
 {
-    return {{"two_bit", "two_bit_table"},
-            {"full_map", "full_map_table"}};
+    return {{"two_bit", "two_bit_table"}};
 }
 
 std::optional<DiffFailure>

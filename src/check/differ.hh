@@ -173,7 +173,8 @@ struct LockstepConfig
 };
 
 /** The (reference, subject) pairs held bit-identical by construction:
- *  {two_bit, two_bit_table} and {full_map, full_map_table}. */
+ *  {two_bit, two_bit_table}.  The full map has one implementation,
+ *  the table, so it has no pair. */
 std::vector<std::pair<std::string, std::string>> lockstepPairs();
 
 /** Replay one trace through both interpreters; first divergence or

@@ -55,15 +55,8 @@ ClassicalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         ++counts_.writeHits;
         l->value = wval;
     } else {
+        // No write-allocate: a store miss leaves the cache untouched.
         ++counts_.writeMisses;
-        if (cfg_.writeAllocate) {
-            CacheLine &victim = caches_.victimFor(k, a);
-            if (victim.valid())
-                caches_.invalidate(k, victim.addr);
-            caches_.fill(k, a, LineState::Shared, wval);
-            ++counts_.dataTransfers;
-            ++counts_.netMessages;
-        }
     }
 
     // The word goes to memory on every store (write-through).

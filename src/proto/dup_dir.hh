@@ -15,6 +15,16 @@
  *     keep its duplicates current (counted as dirUpdates; this is the
  *     controller-bottleneck traffic).
  *
+ * So the scheme is the full-map table plus accounting derived from
+ * each transaction's counter delta.  The controller is consulted once
+ * per clean write hit, miss and eject, t of them, and each consultation
+ * searches n duplicates.  Every such event also changes one cache
+ * directory, as does every directed command (an INVALIDATE or PURGE):
+ *
+ *   dirSearches += n * t
+ *   dirUpdates  += directedCmds + t
+ *   netMessages += directedCmds + t
+ *
  * In the timed tier the central controller also serialises *all*
  * requests (no per-module distribution is possible), which is the
  * paper's expansibility objection.
@@ -23,47 +33,59 @@
 #ifndef DIR2B_PROTO_DUP_DIR_HH
 #define DIR2B_PROTO_DUP_DIR_HH
 
-#include "proto/full_map.hh"
+#include "proto/table_defs.hh"
 
 namespace dir2b
 {
 
-/** Functional-tier Tang duplicated-directory protocol. */
-class DupDirProtocol : public FullMapProtocol
+/** Functional-tier Tang duplicated-directory protocol.  The duplicates
+ *  encode one presence bit per cache plus the modified bit per cached
+ *  block, so the table's n+1 bits per block stand as its cost. */
+class DupDirProtocol : public TableProtocol
 {
   public:
     explicit DupDirProtocol(const ProtoConfig &cfg)
-        : FullMapProtocol("dup_dir", cfg)
+        : TableProtocol(fullMapTable(), cfg, "dup_dir")
     {}
 
-    /**
-     * The duplicates replicate each cache's tag store at the
-     * controller.  Per memory block the map costs nothing — the cost
-     * scales with total cache capacity instead — so we report the
-     * equivalent: one presence bit per cache plus the modified bit,
-     * which is what the duplicates encode per cached block.
-     */
-    unsigned
-    directoryBitsPerBlock() const override
+    void
+    flushCache(ProcId p) override
     {
-        return static_cast<unsigned>(cfg_.numProcs) + 1;
+        TableProtocol::flushCache(p);
+        addTangTraffic();
     }
 
   protected:
-    void
-    onDirectoryTouch(Addr) override
+    Value
+    doAccess(ProcId k, Addr a, bool write, Value wval) override
     {
-        // Every consultation scans all n duplicate directories.
-        counts_.dirSearches += cfg_.numProcs;
+        const Value v = TableProtocol::doAccess(k, a, write, wval);
+        addTangTraffic();
+        return v;
     }
 
+  private:
+    /** Charge the controller traffic of the events counted since the
+     *  last call: t consultations and the directed commands. */
     void
-    onCacheChange(ProcId) override
+    addTangTraffic()
     {
-        // The change is mirrored into the central duplicate.
-        ++counts_.dirUpdates;
-        ++counts_.netMessages;
+        const std::uint64_t consults = counts_.writeHitsClean +
+                                       counts_.readMisses +
+                                       counts_.writeMisses + counts_.ejects;
+        const std::uint64_t t = consults - consults_;
+        const std::uint64_t updates =
+            counts_.directedCmds - directed_ + t;
+        consults_ = consults;
+        directed_ = counts_.directedCmds;
+        counts_.dirSearches += cfg_.numProcs * t;
+        counts_.dirUpdates += updates;
+        counts_.netMessages += updates;
     }
+
+    /** Consultations and directed commands already charged. */
+    std::uint64_t consults_ = 0;
+    std::uint64_t directed_ = 0;
 };
 
 } // namespace dir2b

@@ -9,18 +9,9 @@ FullMapLocalProtocol::FullMapLocalProtocol(const ProtoConfig &cfg)
     : Protocol("full_map_local", cfg)
 {}
 
-LocalMapEntry &
-FullMapLocalProtocol::entryFor(Addr a)
-{
-    return map_.tryEmplace(a, cfg_.numProcs).first->second;
-}
-
 Value
-FullMapLocalProtocol::querySoleHolder(Addr a, LocalMapEntry &e, RW rw)
+FullMapLocalProtocol::querySoleHolder(Addr a, ProcId owner, RW rw)
 {
-    DIR2B_ASSERT(e.present.count() == 1, "querySoleHolder with ",
-                 e.present.count(), " holders");
-    const auto owner = static_cast<ProcId>(e.present.findFirst());
     CacheLine *l = caches_.lookup(owner, a, false);
     DIR2B_ASSERT(l, "sole holder of ", a, " has no copy");
 
@@ -43,36 +34,26 @@ FullMapLocalProtocol::querySoleHolder(Addr a, LocalMapEntry &e, RW rw)
         data = mem_.read(a);
         ++counts_.memReads;
     }
-    e.modified = false;
 
     if (rw == RW::Read) {
         l->state = LineState::Shared;
     } else {
         caches_.invalidate(owner, a);
         ++counts_.invalidations;
-        e.present.reset(owner);
     }
     return data;
 }
 
 void
-FullMapLocalProtocol::invalidateHolders(Addr a, LocalMapEntry &e,
-                                        ProcId except)
+FullMapLocalProtocol::invalidateHolders(Addr a, ProcId except)
 {
-    for (std::size_t i = e.present.findFirst(); i < e.present.size();
-         i = e.present.findNext(i)) {
-        const auto p = static_cast<ProcId>(i);
-        if (p == except)
-            continue;
+    caches_.forEachHolder(a, except, [&](ProcId p) {
         ++counts_.directedCmds;
         ++counts_.netMessages;
         deliverCmd(p, true);
-        const bool had = caches_.invalidate(p, a);
-        DIR2B_ASSERT(had, "INVALIDATE(", a, ",", p,
-                     ") sent to a cache without a copy");
+        caches_.invalidate(p, a);
         ++counts_.invalidations;
-        e.present.reset(i);
-    }
+    });
 }
 
 void
@@ -83,10 +64,8 @@ FullMapLocalProtocol::replaceVictim(ProcId k, Addr a)
         return;
 
     const Addr olda = victim.addr;
-    LocalMapEntry &e = entryFor(olda);
     ++counts_.ejects;
     ++counts_.netMessages;
-    DIR2B_ASSERT(e.present.test(k), "eject of unmapped block ", olda);
 
     if (victim.dirty()) {
         ++counts_.dataTransfers;
@@ -94,9 +73,7 @@ FullMapLocalProtocol::replaceVictim(ProcId k, Addr a)
         mem_.write(olda, victim.value);
         ++counts_.memWrites;
         ++counts_.writebacks;
-        e.modified = false;
     }
-    e.present.reset(k);
     ++counts_.setstates;
     caches_.invalidate(k, olda);
 }
@@ -130,9 +107,7 @@ FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         ++counts_.writeHitsClean;
         ++counts_.mrequests;
         counts_.netMessages += 2;
-        LocalMapEntry &e = entryFor(a);
-        invalidateHolders(a, e, k);
-        e.modified = true;
+        invalidateHolders(a, k);
         ++counts_.setstates;
         l->state = LineState::Modified;
         l->value = wval;
@@ -147,29 +122,31 @@ FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
     ++counts_.requests;
     ++counts_.netMessages;
 
-    LocalMapEntry &e = entryFor(a);
+    // A miss: k holds no copy, so these are all the holders.
+    const std::size_t holders = caches_.otherHolders(a, k);
+    ProcId sole = invalidProc;
+    if (holders == 1)
+        caches_.forEachHolder(a, k, [&](ProcId p) { sole = p; });
     Value v = 0;
 
     if (!write) {
-        if (e.present.none()) {
+        if (holders == 0) {
             // Absent: grant exclusive-clean so later writes are free.
             v = mem_.read(a);
             ++counts_.memReads;
-            e.present.set(k);
             ++counts_.setstates;
             ++counts_.dataTransfers;
             ++counts_.netMessages;
             caches_.fill(k, a, LineState::Exclusive, v);
             return v;
         }
-        if (e.present.count() == 1) {
+        if (holders == 1) {
             // Sole holder: may have silently modified; query it.
-            v = querySoleHolder(a, e, RW::Read);
+            v = querySoleHolder(a, sole, RW::Read);
         } else {
             v = mem_.read(a);
             ++counts_.memReads;
         }
-        e.present.set(k);
         ++counts_.setstates;
         ++counts_.dataTransfers;
         ++counts_.netMessages;
@@ -180,15 +157,13 @@ FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         return v;
     }
 
-    if (e.present.count() == 1) {
-        v = querySoleHolder(a, e, RW::Write);
+    if (holders == 1) {
+        v = querySoleHolder(a, sole, RW::Write);
     } else {
-        invalidateHolders(a, e, k);
+        invalidateHolders(a, k);
         v = mem_.read(a);
         ++counts_.memReads;
     }
-    e.present.set(k);
-    e.modified = true;
     ++counts_.setstates;
     ++counts_.dataTransfers;
     ++counts_.netMessages;
@@ -199,42 +174,14 @@ FullMapLocalProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 void
 FullMapLocalProtocol::checkInvariants() const
 {
-    for (const auto &[a, e] : map_) {
-        std::size_t copies = 0;
-        std::size_t dirty = 0;
-        for (std::size_t i = e.present.findFirst(); i < e.present.size();
-             i = e.present.findNext(i)) {
-            const CacheLine *l = caches_.peek(i, a);
-            DIR2B_ASSERT(l, "presence bit set for cache ", i, " block ",
-                         a, " but no copy exists");
-            ++copies;
-            if (l->dirty())
-                ++dirty;
-            if (copies > 1) {
-                DIR2B_ASSERT(l->state == LineState::Shared,
-                             "multi-holder block ", a,
-                             " with non-shared copy in cache ", i);
-            }
-        }
-        DIR2B_ASSERT(dirty <= 1, "block ", a, " dirty in ", dirty,
-                     " caches");
-        // A dirty or exclusive copy is only legal for a sole holder.
-        if (dirty == 1)
-            DIR2B_ASSERT(copies == 1, "dirty block ", a, " with ",
-                         copies, " copies");
-        // e.modified may under-report (silent upgrades) but must never
-        // over-report.
-        if (e.modified)
-            DIR2B_ASSERT(dirty == 1 && copies == 1,
-                         "directory claims modified for block ", a,
-                         " but caches disagree");
-    }
+    // An Exclusive or Modified copy is only legal for a sole holder, so
+    // a multi-holder block is Shared everywhere and never dirty.
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
         caches_.forEachValid(p, [&](const CacheLine &l) {
-            auto it = map_.find(l.addr);
-            DIR2B_ASSERT(it != map_.end() && it->second.present.test(p),
-                         "cache ", p, " holds ", l.addr,
-                         " without a presence bit");
+            DIR2B_ASSERT(l.state == LineState::Shared ||
+                             caches_.otherHolders(l.addr, p) == 0,
+                         toString(l.state), " copy of block ", l.addr,
+                         " in cache ", p, " is not the only copy");
         });
     }
 }

@@ -15,6 +15,11 @@
  * Relative to the plain full map this trades MREQUEST round trips on
  * write hits against extra owner queries on remote accesses to
  * sole-holder blocks — measured head-to-head in bench_protocol_comparison.
+ *
+ * The presence vector is the CacheBank's holder index: the scheme's
+ * decisions read only who holds a block, never the modified bit (which
+ * a silent upgrade makes stale anyway), so the index is the whole map.
+ * directoryBitsPerBlock() reports the n+1 bits hardware would keep.
  */
 
 #ifndef DIR2B_PROTO_FULL_MAP_LOCAL_HH
@@ -22,23 +27,9 @@
 
 #include "net/message.hh"
 #include "proto/protocol.hh"
-#include "util/bitset.hh"
-#include "util/flat_map.hh"
 
 namespace dir2b
 {
-
-/** Directory entry: presence vector; modified bit may be stale when
- *  exactly one presence bit is set. */
-struct LocalMapEntry
-{
-    DynBitset present;
-    /** True if the directory *knows* the block is modified.  With one
-     *  presence bit set the truth may be "more modified" than this. */
-    bool modified = false;
-
-    explicit LocalMapEntry(std::size_t n) : present(n) {}
-};
 
 /** Functional-tier Yen-Fu protocol (full map + exclusive-clean). */
 class FullMapLocalProtocol : public Protocol
@@ -62,17 +53,14 @@ class FullMapLocalProtocol : public Protocol
     Value doAccess(ProcId k, Addr a, bool write, Value wval) override;
 
   private:
-    LocalMapEntry &entryFor(Addr a);
+    /** Query `owner`, the sole holder of a: returns its data, writing
+     *  back if it had silently modified the block; downgrades
+     *  (rw=Read) or invalidates (rw=Write) the holder's copy. */
+    Value querySoleHolder(Addr a, ProcId owner, RW rw);
 
-    /** Query the sole holder: returns its data, writing back if it had
-     *  silently modified the block; downgrades (rw=Read) or
-     *  invalidates (rw=Write) the holder's copy. */
-    Value querySoleHolder(Addr a, LocalMapEntry &e, RW rw);
-
-    void invalidateHolders(Addr a, LocalMapEntry &e, ProcId except);
+    void invalidateHolders(Addr a, ProcId except);
     void replaceVictim(ProcId k, Addr a);
 
-    FlatMap<Addr, LocalMapEntry> map_;
     std::uint64_t silentUpgrades_ = 0;
 };
 

@@ -47,8 +47,6 @@ struct ProtoConfig
     ModuleId numModules = 4;
     /** Classical scheme: capacity of the per-cache BIAS filter. */
     std::size_t biasCapacity = 0;
-    /** Classical scheme: write-allocate on write miss. */
-    bool writeAllocate = false;
     /** Two-bit + translation buffer: TB entries per module (0 = none). */
     std::size_t tbCapacity = 0;
     /** Two-bit: duplicate each cache's tag directory so broadcast

@@ -5,7 +5,6 @@
 #include "core/two_bit_wt_protocol.hh"
 #include "proto/classical.hh"
 #include "proto/dup_dir.hh"
-#include "proto/full_map.hh"
 #include "proto/full_map_local.hh"
 #include "proto/illinois.hh"
 #include "proto/software.hh"
@@ -32,8 +31,6 @@ makeProtocol(const std::string &name, const ProtoConfig &cfg)
         return std::make_unique<TwoBitTbProtocol>(cfg);
     if (name == "two_bit_wt")
         return std::make_unique<TwoBitWtProtocol>(cfg);
-    if (name == "full_map")
-        return std::make_unique<FullMapProtocol>(cfg);
     if (name == "full_map_local")
         return std::make_unique<FullMapLocalProtocol>(cfg);
     if (name == "dup_dir")
@@ -46,11 +43,14 @@ makeProtocol(const std::string &name, const ProtoConfig &cfg)
         return std::make_unique<IllinoisProtocol>(cfg);
     if (name == "software")
         return std::make_unique<SoftwareProtocol>(cfg);
-    // Table-driven protocols: same interpreter, different data.
+    // Table-driven protocols: same interpreter, different data.  The
+    // full-map table is the only full map; full_map_table is the name
+    // perfbench times it under.
+    if (name == "full_map" || name == "full_map_table")
+        return std::make_unique<TableProtocol>(fullMapTable(), cfg,
+                                               name);
     if (name == "two_bit_table")
         return std::make_unique<TableProtocol>(twoBitTable(), cfg);
-    if (name == "full_map_table")
-        return std::make_unique<TableProtocol>(fullMapTable(), cfg);
     if (name == "moesi")
         return std::make_unique<TableProtocol>(moesiTable(), cfg);
     DIR2B_FATAL("unknown protocol '", name, "'");

@@ -2,14 +2,13 @@
  * @file
  * The shipped transition tables for the table-driven engine.
  *
- * Two of these re-express hand-written schemes as data and are held to
- * bit-identical behaviour by the cross-interpreter lockstep differ
- * (check/differ.hh):
- *
- *   twoBitTable()   the paper's §3 two-bit broadcast scheme
- *                   (= core/two_bit_protocol.cc, counter for counter);
- *   fullMapTable()  the Censier-Feautrier full map
- *                   (= proto/full_map.cc, counter for counter).
+ * twoBitTable() re-expresses the paper's §3 two-bit broadcast scheme
+ * as data and is held bit-identical to core/two_bit_protocol.cc,
+ * counter for counter, by the cross-interpreter lockstep differ
+ * (check/differ.hh).  fullMapTable() is the Censier-Feautrier full
+ * map (§2.4.2) and its only implementation: the factory registers it
+ * as full_map and full_map_table, and as dup_dir under Tang's derived
+ * accounting (proto/dup_dir.hh).
  *
  * The third is the proof that new protocols are now data only:
  *

@@ -288,8 +288,9 @@ TransitionTable::validate() const
 }
 
 TableProtocol::TableProtocol(const TransitionTable &table,
-                             const ProtoConfig &cfg)
-    : Protocol(table.name, cfg),
+                             const ProtoConfig &cfg,
+                             const std::string &name)
+    : Protocol(name.empty() ? table.name : name, cfg),
       table_(table),
       dirs_(makeTwoBitDirectories(cfg.numModules, cfg.dirRamBudget)),
       rowHits_(table.rows.size(), 0)

@@ -30,11 +30,13 @@
  * directory page, because the store's clock observes every read the
  * per-state rows would have made.
  *
- * Bit-identity contract: the tables in proto/table_defs.cc reproduce
- * the hand-written two_bit and full_map schemes *exactly* — every
- * counter bump, every deliverCmd, every replacement-policy touch in
- * the same order — which the lockstep differ (check/differ.hh)
- * enforces access by access.
+ * Bit-identity contract: the two_bit table in proto/table_defs.cc
+ * reproduces the hand-written two_bit scheme *exactly* — every counter
+ * bump, every deliverCmd, every replacement-policy touch in the same
+ * order — which the lockstep differ (check/differ.hh) enforces access
+ * by access.  The full-map table is the only full map: the factory
+ * registers it as full_map and full_map_table, and under Tang's
+ * derived accounting (proto/dup_dir.hh) as dup_dir.
  */
 
 #ifndef DIR2B_PROTO_TABLE_ENGINE_HH
@@ -195,7 +197,8 @@ struct StateConstraint
 /** A complete declarative protocol. */
 struct TransitionTable
 {
-    /** Scheme name the factory registers ("two_bit_table", ...). */
+    /** Table name ("two_bit_table", ...): the scheme name unless the
+     *  factory registers the table under another. */
     std::string name;
     /** Directory state names; at most 4 (the two-bit economy bound),
      *  index 0 is the initial (uncached) state. */
@@ -236,8 +239,11 @@ std::string toString(ActionOp op);
 class TableProtocol : public Protocol
 {
   public:
-    /** Fatals (with every validation message) on an invalid table. */
-    TableProtocol(const TransitionTable &table, const ProtoConfig &cfg);
+    /** Fatals (with every validation message) on an invalid table.
+     *  `name` is the name the scheme is registered under (one table
+     *  may back several schemes); empty means the table's own. */
+    TableProtocol(const TransitionTable &table, const ProtoConfig &cfg,
+                  const std::string &name = {});
 
     unsigned
     directoryBitsPerBlock() const override

@@ -1,14 +1,16 @@
 /**
  * @file
- * Directed tests of the full-map baseline (Censier-Feautrier) and the
- * Yen-Fu local-state extension: exact presence-vector maintenance and
- * the defining property that no command is ever useless.
+ * Directed tests of the full-map baseline (Censier-Feautrier, run by
+ * the full-map table) and the Yen-Fu local-state extension: exact
+ * presence-vector maintenance and the defining property that no
+ * command is ever useless.
  */
 
 #include <gtest/gtest.h>
 
-#include "proto/full_map.hh"
 #include "proto/full_map_local.hh"
+#include "proto/protocol_factory.hh"
+#include "proto/table_engine.hh"
 
 namespace dir2b
 {
@@ -26,108 +28,114 @@ config(ProcId n = 4, std::size_t sets = 64, std::size_t ways = 4)
     return cfg;
 }
 
+// The full map is the full-map table; its directory states are these
+// indices, and its presence bits are the caches' holder sets.
+constexpr std::uint8_t shared = 1;
+constexpr std::uint8_t modified = 2;
+
+std::unique_ptr<Protocol>
+fullMap(const ProtoConfig &cfg)
+{
+    return makeProtocol("full_map", cfg);
+}
+
+std::uint8_t
+dirState(const Protocol &p, Addr a)
+{
+    return dynamic_cast<const TableProtocol &>(p).dirStateOf(a);
+}
+
 TEST(FullMap, PresenceBitsTrackReaders)
 {
-    FullMapProtocol p(config());
+    const auto p = fullMap(config());
     const Addr a = 100;
-    p.access(0, a, false);
-    p.access(2, a, false);
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->present.test(0));
-    EXPECT_FALSE(e->present.test(1));
-    EXPECT_TRUE(e->present.test(2));
-    EXPECT_FALSE(e->modified);
+    p->access(0, a, false);
+    p->access(2, a, false);
+    EXPECT_EQ(p->holders(a), (std::vector<ProcId>{0, 2}));
+    EXPECT_EQ(dirState(*p, a), shared);
 }
 
 TEST(FullMap, WriteMissSendsExactlyHolderCountInvalidations)
 {
-    FullMapProtocol p(config(8));
+    const auto p = fullMap(config(8));
     const Addr a = 5;
-    p.access(0, a, false);
-    p.access(1, a, false);
-    p.access(2, a, false);
-    p.access(7, a, true, 1);
+    p->access(0, a, false);
+    p->access(1, a, false);
+    p->access(2, a, false);
+    p->access(7, a, true, 1);
 
-    const AccessCounts &d = p.lastDelta();
+    const AccessCounts &d = p->lastDelta();
     EXPECT_EQ(d.directedCmds, 3u);
     EXPECT_EQ(d.invalidations, 3u);
     EXPECT_EQ(d.broadcasts, 0u);
     EXPECT_EQ(d.uselessCmds, 0u);
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->present.count(), 1u);
-    EXPECT_TRUE(e->present.test(7));
-    EXPECT_TRUE(e->modified);
+    EXPECT_EQ(p->holders(a), std::vector<ProcId>{7});
+    EXPECT_EQ(dirState(*p, a), modified);
 }
 
 TEST(FullMap, ReadMissOnModifiedPurgesExactlyOwner)
 {
-    FullMapProtocol p(config(8));
+    const auto p = fullMap(config(8));
     const Addr a = 6;
-    p.access(3, a, true, 42);
-    p.access(5, a, false);
+    p->access(3, a, true, 42);
+    p->access(5, a, false);
 
-    const AccessCounts &d = p.lastDelta();
+    const AccessCounts &d = p->lastDelta();
     EXPECT_EQ(d.directedCmds, 1u);
     EXPECT_EQ(d.purges, 1u);
     EXPECT_EQ(d.writebacks, 1u);
     EXPECT_EQ(d.uselessCmds, 0u);
-    EXPECT_EQ(p.access(5, a, false), 42u);
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->present.count(), 2u);
-    EXPECT_FALSE(e->modified);
+    EXPECT_EQ(p->access(5, a, false), 42u);
+    EXPECT_EQ(p->holders(a), (std::vector<ProcId>{3, 5}));
+    EXPECT_EQ(dirState(*p, a), shared);
 }
 
 TEST(FullMap, WriteHitWithSoleCopyNeedsNoInvalidation)
 {
-    FullMapProtocol p(config());
+    const auto p = fullMap(config());
     const Addr a = 7;
-    p.access(0, a, false);
-    p.access(0, a, true, 9);
-    EXPECT_EQ(p.lastDelta().directedCmds, 0u);
-    EXPECT_EQ(p.lastDelta().invalidations, 0u);
-    EXPECT_TRUE(p.entry(a)->modified);
+    p->access(0, a, false);
+    p->access(0, a, true, 9);
+    EXPECT_EQ(p->lastDelta().directedCmds, 0u);
+    EXPECT_EQ(p->lastDelta().invalidations, 0u);
+    EXPECT_EQ(dirState(*p, a), modified);
 }
 
 TEST(FullMap, CleanEjectClearsPresenceBitExactly)
 {
-    FullMapProtocol p(config(4, 1, 1));
+    const auto p = fullMap(config(4, 1, 1));
     const Addr a = 20;
     const Addr b = 21;
-    p.access(0, a, false);
-    p.access(1, a, false);
-    p.access(0, b, false); // cache 0 ejects a
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_FALSE(e->present.test(0));
-    EXPECT_TRUE(e->present.test(1));
+    p->access(0, a, false);
+    p->access(1, a, false);
+    p->access(0, b, false); // cache 0 ejects a
+    EXPECT_EQ(p->holders(a), std::vector<ProcId>{1});
+    EXPECT_EQ(dirState(*p, a), shared);
     // Unlike the two-bit map, a later write sends exactly one command.
-    p.access(2, a, true, 1);
-    EXPECT_EQ(p.lastDelta().directedCmds, 1u);
-    EXPECT_EQ(p.lastDelta().uselessCmds, 0u);
+    p->access(2, a, true, 1);
+    EXPECT_EQ(p->lastDelta().directedCmds, 1u);
+    EXPECT_EQ(p->lastDelta().uselessCmds, 0u);
 }
 
 TEST(FullMap, NeverAnyUselessCommand)
 {
-    FullMapProtocol p(config(4, 2, 2));
+    const auto p = fullMap(config(4, 2, 2));
     // A busy mixed sequence with evictions and ownership migration.
     for (int i = 0; i < 500; ++i) {
         const auto proc = static_cast<ProcId>(i % 4);
         const Addr a = static_cast<Addr>(i % 12);
-        p.access(proc, a, i % 3 == 0, 10000u + i);
-        p.checkInvariants();
+        p->access(proc, a, i % 3 == 0, 10000u + i);
+        p->checkInvariants();
     }
-    EXPECT_EQ(p.counts().uselessCmds, 0u);
-    EXPECT_EQ(p.counts().broadcasts, 0u);
+    EXPECT_EQ(p->counts().uselessCmds, 0u);
+    EXPECT_EQ(p->counts().broadcasts, 0u);
 }
 
 TEST(FullMap, DirectoryCostGrowsWithN)
 {
-    EXPECT_EQ(FullMapProtocol(config(4)).directoryBitsPerBlock(), 5u);
-    EXPECT_EQ(FullMapProtocol(config(16)).directoryBitsPerBlock(), 17u);
-    EXPECT_EQ(FullMapProtocol(config(64)).directoryBitsPerBlock(), 65u);
+    EXPECT_EQ(fullMap(config(4))->directoryBitsPerBlock(), 5u);
+    EXPECT_EQ(fullMap(config(16))->directoryBitsPerBlock(), 17u);
+    EXPECT_EQ(fullMap(config(64))->directoryBitsPerBlock(), 65u);
 }
 
 TEST(FullMapLocal, FirstReaderGetsExclusiveCleanCopy)
@@ -182,6 +190,34 @@ TEST(FullMapLocal, SharedWriteHitStillNeedsInvalidations)
     EXPECT_EQ(p.lastDelta().mrequests, 1u);
     EXPECT_EQ(p.lastDelta().invalidations, 1u);
     EXPECT_EQ(p.holders(a), std::vector<ProcId>{0});
+}
+
+TEST(FullMapLocal, EvictionLeavesOneSharedHolderToQuery)
+{
+    // Two readers share a block and one evicts it: the remaining copy
+    // is Shared, yet it is the sole holder, so a remote read must query
+    // it (it might have been Exclusive and silently upgraded) with one
+    // directed command, and memory supplies the clean data.
+    FullMapLocalProtocol p(config(4, 1, 1));
+    const Addr a = 40;
+    p.access(0, a, false);
+    p.access(1, a, false);
+    p.access(0, a + 1, false); // cache 0 ejects a
+    ASSERT_EQ(p.holders(a), std::vector<ProcId>{1});
+    ASSERT_EQ(p.cache(1).peek(a)->state, LineState::Shared);
+
+    const std::uint64_t before = p.cmdsReceivedBy(1);
+    p.access(2, a, false);
+    const AccessCounts &d = p.lastDelta();
+    EXPECT_EQ(d.directedCmds, 1u);
+    EXPECT_EQ(d.broadcasts, 0u);
+    EXPECT_EQ(d.purges, 0u);
+    EXPECT_EQ(d.memReads, 1u);
+    EXPECT_EQ(p.cmdsReceivedBy(1), before + 1);
+    EXPECT_EQ(p.holders(a), (std::vector<ProcId>{1, 2}));
+    EXPECT_EQ(p.cache(1).peek(a)->state, LineState::Shared);
+    EXPECT_EQ(p.cache(2).peek(a)->state, LineState::Shared);
+    p.checkInvariants();
 }
 
 TEST(FullMapLocal, InvariantsUnderMigration)

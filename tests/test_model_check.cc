@@ -198,8 +198,8 @@ TEST(ModelCheck, TableProtocolsHaveNoUnreachableRows)
     // row nothing can reach is either dead weight or a transition the
     // explorer's action alphabet can no longer provoke — both are
     // bugs.
-    for (const std::string name :
-         {"two_bit_table", "full_map_table", "moesi"}) {
+    for (const std::string name : {"two_bit_table", "full_map_table",
+                                   "full_map", "dup_dir", "moesi"}) {
         const auto grid = tableGridFor(name);
         const auto results = exploreGrid(grid);
         ASSERT_EQ(results.size(), grid.size());

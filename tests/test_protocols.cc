@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/differ.hh"
 #include "proto/classical.hh"
 #include "proto/dup_dir.hh"
 #include "proto/illinois.hh"
@@ -70,17 +71,6 @@ TEST(Classical, MemoryIsAlwaysCurrent)
     p.checkInvariants();
 }
 
-TEST(Classical, WriteAllocateFillsOnWriteMiss)
-{
-    ProtoConfig cfg = config();
-    cfg.writeAllocate = true;
-    ClassicalProtocol p(cfg);
-    p.access(0, 10, true, 5);
-    EXPECT_EQ(p.holders(10), std::vector<ProcId>{0});
-    EXPECT_EQ(p.access(0, 10, false), 5u);
-    EXPECT_EQ(p.lastDelta().readHits, 1u);
-}
-
 TEST(Classical, BiasFilterAbsorbsRepeatedInvalidations)
 {
     ProtoConfig cfg = config();
@@ -135,6 +125,59 @@ TEST(DupDir, EveryCacheChangeUpdatesCentralCopy)
     EXPECT_GE(afterFill, 1u);
     p.access(1, 5, true, 9); // invalidation at 0 + fill at 1
     EXPECT_GE(p.counts().dirUpdates, afterFill + 2);
+}
+
+/** Every counter of `c`, in declaration order. */
+std::vector<std::uint64_t>
+fields(const AccessCounts &c)
+{
+    std::vector<std::uint64_t> v;
+    AccessCounts::forEachField(
+        c, [&](const char *, std::uint64_t x) { v.push_back(x); });
+    return v;
+}
+
+TEST(DupDir, DeltaIsFullMapDeltaPlusTangTraffic)
+{
+    // dup_dir runs the full-map table; only the central controller's
+    // traffic, derived from each transaction's own counters, is added.
+    // The golden digests pin the totals; this pins every access, and
+    // every flush of a rotating cache.
+    FuzzConfig fc;
+    fc.refsPerSeed = 4000;
+    const ProtoConfig cfg = config(fc.diff.numProcs, fc.diff.sets,
+                                   fc.diff.ways);
+    const auto fm = makeProtocol("full_map", cfg);
+    DupDirProtocol dd(cfg);
+    const auto tang = [&](AccessCounts d) {
+        const std::uint64_t t = d.writeHitsClean + d.readMisses +
+                                d.writeMisses + d.ejects;
+        d.dirSearches += cfg.numProcs * t;
+        d.dirUpdates += d.directedCmds + t;
+        d.netMessages += d.directedCmds + t;
+        return d;
+    };
+
+    std::uint64_t step = 0;
+    for (const MemRef &r : fuzzTrace(fc, 0)) {
+        ++step;
+        fm->access(r.proc, r.addr, r.write, step);
+        dd.access(r.proc, r.addr, r.write, step);
+        ASSERT_EQ(fields(dd.lastDelta()), fields(tang(fm->lastDelta())))
+            << "access " << step << ": " << toString(r);
+        if (step % 53 == 0) {
+            const auto p = static_cast<ProcId>(step / 53 % cfg.numProcs);
+            const AccessCounts fmBefore = fm->counts();
+            const AccessCounts ddBefore = dd.counts();
+            fm->flushCache(p);
+            dd.flushCache(p);
+            ASSERT_EQ(fields(dd.counts() - ddBefore),
+                      fields(tang(fm->counts() - fmBefore)))
+                << "flush of cache " << p << " after access " << step;
+        }
+    }
+    EXPECT_GT(dd.counts().ejects, 0u);
+    EXPECT_GT(dd.counts().directedCmds, 0u);
 }
 
 // ---------------------------------------------------------------- //

@@ -10,8 +10,8 @@
 
 #include "core/two_bit_protocol.hh"
 #include "model/traffic_model.hh"
-#include "proto/full_map.hh"
 #include "proto/protocol_factory.hh"
+#include "proto/table_engine.hh"
 #include "trace/reference.hh"
 
 namespace dir2b
@@ -128,20 +128,21 @@ TEST(FlushCache, TwoBitWritesBackAndReclaims)
 
 TEST(FlushCache, FullMapClearsExactBits)
 {
-    FullMapProtocol p(config());
-    p.access(0, 1, true, 7);
-    p.access(0, 2, false);
-    p.access(2, 2, false);
+    const auto p = makeProtocol("full_map", config());
+    p->access(0, 1, true, 7);
+    p->access(0, 2, false);
+    p->access(2, 2, false);
 
-    p.flushCache(0);
+    p->flushCache(0);
 
-    EXPECT_EQ(p.cache(0).validCount(), 0u);
-    EXPECT_EQ(p.memValue(1), 7u);
-    const FullMapEntry *e = p.entry(2);
-    ASSERT_NE(e, nullptr);
-    EXPECT_FALSE(e->present.test(0));
-    EXPECT_TRUE(e->present.test(2));
-    p.checkInvariants();
+    EXPECT_EQ(p->cache(0).validCount(), 0u);
+    EXPECT_EQ(p->memValue(1), 7u);
+    EXPECT_EQ(p->holders(2), std::vector<ProcId>{2});
+    // The full-map table's states: 0 Uncached, 1 Shared.
+    const auto &table = dynamic_cast<const TableProtocol &>(*p);
+    EXPECT_EQ(table.dirStateOf(1), 0u);
+    EXPECT_EQ(table.dirStateOf(2), 1u);
+    p->checkInvariants();
 }
 
 TEST(FlushCache, MigrationWithFlushKeepsSoftwareSchemeSound)
