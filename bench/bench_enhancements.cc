@@ -104,7 +104,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = parseBenchOptions(
-        argc, argv, "bench_enhancements",
+        argc, argv,
         "E4 + E5: the Sec. 4.4 enhancements and the Present1 "
         "ablation");
     const WallTimer timer;

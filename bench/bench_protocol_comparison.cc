@@ -149,7 +149,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = parseBenchOptions(
-        argc, argv, "bench_protocol_comparison",
+        argc, argv,
         "E7: all coherence schemes on common workloads (Sec. 2 "
         "spectrum)");
     const WallTimer timer;

@@ -77,7 +77,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = parseBenchOptions(
-        argc, argv, "bench_scaling",
+        argc, argv,
         "E6: Sec. 4.3 acceptability thresholds, model vs. simulation, "
         "plus network saturation");
     const WallTimer timer;

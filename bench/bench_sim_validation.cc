@@ -141,7 +141,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = parseBenchOptions(
-        argc, argv, "bench_sim_validation",
+        argc, argv,
         "E3: Table 4-1 cross-checked by live simulation");
     const WallTimer timer;
     const std::uint64_t refs = bo.scaleRefs(200000);

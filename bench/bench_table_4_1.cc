@@ -166,7 +166,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = parseBenchOptions(
-        argc, argv, "bench_table_4_1",
+        argc, argv,
         "E1: Table 4-1 from the Sec. 4.2 closed form, plus the "
         "Markov-chain ablation");
     const WallTimer timer;

@@ -63,7 +63,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = parseBenchOptions(
-        argc, argv, "bench_table_4_2",
+        argc, argv,
         "E2: Table 4-2 from the reconstructed Dubois-Briggs chain");
     const WallTimer timer;
 

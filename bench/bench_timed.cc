@@ -353,9 +353,10 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = parseBenchOptions(
-        argc, argv, "bench_timed",
+        argc, argv,
         "E8: timed system experiments (discrete-event, "
-        "oracle-checked)");
+        "oracle-checked)",
+        true);
     const WallTimer timer;
     const std::uint64_t refs = bo.scaleRefs(20000);
 

@@ -30,10 +30,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +58,7 @@ namespace
 
 struct Options
 {
+    ModeSet mode = 0; ///< one of the mode bits below
     std::string protocol = "two_bit";
     std::string tracePath;
     std::string recordPath;
@@ -95,202 +94,147 @@ struct Options
     std::uint64_t think = 1;
 };
 
-void
-usage(const char *argv0)
+/** The modes, one bit each in the order of parse()'s mode list: when
+ *  several mode flags are given the first wins, and the last mode is
+ *  the default. */
+enum : ModeSet
 {
-    std::printf(
-        "usage: %s [options]\n"
-        "  --protocol NAME     scheme to run (--list-protocols)\n"
-        "  --procs N           processor-cache pairs (default 4)\n"
-        "  --sets N --ways N   cache geometry (default 32x4)\n"
-        "  --modules N         memory modules (default 4)\n"
-        "  --tb N              translation-buffer entries/module\n"
-        "  --bias N            BIAS filter entries (classical)\n"
-        "  --q F --w F         sharing level and write fraction\n"
-        "  --shared N          number of shared blocks (default 16)\n"
-        "  --locality F        shared re-reference probability\n"
-        "  --refs N            references to simulate\n"
-        "  --seed N            workload seed\n"
-        "  --trace FILE        replay a recorded text trace\n"
-        "  --record FILE       record the workload as text instead of\n"
-        "                      running\n"
-        "  --trace-in FILE     mmap-replay a binary trace (zero-copy\n"
-        "                      batched dispatch; docs/TRACES.md).\n"
-        "                      Works with --timed too; results are\n"
-        "                      bit-identical to the run that\n"
-        "                      recorded the stream\n"
-        "  --trace-out FILE    record the synthetic workload as a\n"
-        "                      binary trace instead of running\n"
-        "  --trace-buffer BYTES\n"
-        "                      writer block size for --trace-out\n"
-        "                      (suffixes k/m/g; default 1M = 64Ki\n"
-        "                      records per block)\n"
-        "  --json FILE         export results as a JSON artifact\n"
-        "                      (schema: docs/METRICS.md)\n"
-        "  --series-out FILE   record a dir2b.series time-series\n"
-        "                      artifact (docs/METRICS.md); sampling\n"
-        "                      never changes simulation results\n"
-        "  --series-interval N sample every N refs (functional) or N\n"
-        "                      ticks (--timed); suffixes k/m/g.\n"
-        "                      Default 4096 when sampling is on\n"
-        "  --progress          live progress line on stderr (refs/s,\n"
-        "                      ETA, interval rates); implies sampling\n"
-        "  --sweep-procs LIST  run once per comma-separated processor\n"
-        "                      count (e.g. 2,4,8), cells in parallel;\n"
-        "                      not with --timed\n"
-        "  --threads N         sweep-pool width (default: the\n"
-        "                      DIR2B_THREADS env var, else all cores);\n"
-        "                      not with --timed\n"
-        "  --no-oracle         skip coherence checking (faster); not\n"
-        "                      with --timed, which always checks\n"
-        "  --analyze           print trace statistics, don't simulate\n"
-        "  --invariants        deep-check structures every 1k refs\n"
-        "  --timed             run the discrete-event tier instead\n"
-        "                      (protocols tb|fm|yf; --refs is per\n"
-        "                      processor there)\n"
-        "  --dir-ram-budget BYTES\n"
-        "                      total directory RAM budget (suffixes\n"
-        "                      K/M/G); cold directory pages compress\n"
-        "                      and spill to disk past it.  0 =\n"
-        "                      unlimited.  Results are bit-identical\n"
-        "                      at any budget.  Schemes with no tiered\n"
-        "                      directory (classical, --timed fm, ...)\n"
-        "                      refuse it\n"
-        "  --space-blocks N    hash-scatter the synthetic working set\n"
-        "                      over an N-block address space (0 =\n"
-        "                      classic compact layout) — exercises\n"
-        "                      huge sparse directories\n"
-        "  --think N           with --timed: processor think time\n"
-        "                      between references (default 1)\n"
-        "  --list-protocols    print registered protocol names\n",
-        argv0);
-}
+    TraceOut = 1u << 0,
+    Timed = 1u << 1,
+    Sweep = 1u << 2,
+    Analyze = 1u << 3,
+    Record = 1u << 4,
+    Run = 1u << 5,
+};
 
-/** An unsigned count flag (parseScaledUint's grammar), at most `max`
- *  so that it survives narrowing to ProcId, ModuleId or unsigned. */
-std::uint64_t
-countArg(const char *s, const char *flag,
-         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    const std::uint64_t v = parseScaledUint(s, flag, "count");
-    if (v > max)
-        DIR2B_FATAL(flag, ": ", v, " exceeds the largest allowed, ", max);
-    return v;
-}
+/** Modes that simulate: one functional run, a sweep, a timed run. */
+constexpr ModeSet Simulate = Run | Sweep | Timed;
 
 Options
 parse(int argc, char **argv)
 {
     Options o;
-    auto need = [&](int &i) -> const char * {
-        if (++i >= argc)
-            DIR2B_FATAL("missing value for ", argv[i - 1]);
-        return argv[i];
+    bool listProtocols = false;
+    CliSpec spec{
+        "[options]",
+        "Run a coherence scheme over a synthetic workload or a recorded "
+        "trace and print its counters.  --trace-out, --timed, "
+        "--sweep-procs, --analyze and --record each select a mode (the "
+        "first given, in that order, wins); without them dir2bsim makes "
+        "one functional run.  A flag given in a mode it does not apply "
+        "to is an error.",
+        {
+            {"--protocol", arg::text(o.protocol, "NAME"),
+             "scheme to run (--list-protocols); --timed knows "
+             "tb|fm|yf",
+             Simulate},
+            {"--procs", arg::count(o.procs, 0, invalidProc - 1),
+             "processor-cache pairs (default 4)", ~Sweep},
+            {"--sets", arg::count(o.sets), "cache sets (default 32)",
+             Simulate},
+            {"--ways", arg::count(o.ways), "cache ways (default 4)",
+             Simulate},
+            {"--modules", arg::count(o.modules),
+             "memory modules (default 4)", Simulate},
+            {"--tb", arg::count(o.tbCapacity),
+             "translation-buffer entries per module (two_bit_tb)",
+             Run | Sweep},
+            {"--bias", arg::count(o.biasCapacity),
+             "BIAS filter entries (classical)", Run | Sweep},
+            {"--q", arg::real(o.q, 0.0, 1.0),
+             "sharing level: probability a reference is to a shared "
+             "block (default 0.05)"},
+            {"--w", arg::real(o.w, 0.0, 1.0),
+             "write fraction of shared references (default 0.2)"},
+            {"--shared", arg::count(o.sharedBlocks),
+             "number of shared blocks (default 16)"},
+            {"--locality", arg::real(o.locality, 0.0, 1.0),
+             "shared re-reference probability (default 0.9)"},
+            {"--refs", arg::count(o.refs),
+             "references to simulate (per processor with --timed)"},
+            {"--seed", arg::count(o.seed), "workload seed (default 1)"},
+            {"--space-blocks", arg::count(o.spaceBlocks),
+             "hash-scatter the synthetic working set over an N-block "
+             "address space (0 = compact layout): huge sparse "
+             "directories"},
+            {"--trace", arg::text(o.tracePath, "FILE"),
+             "replay a recorded text trace",
+             Run | Analyze | Record | TraceOut},
+            {"--record", arg::text(o.recordPath, "FILE"),
+             "mode: record the workload as a text trace", Record},
+            {"--trace-in", arg::text(o.traceInPath, "FILE"),
+             "mmap-replay a binary trace (docs/TRACES.md); results are "
+             "bit-identical to the run that recorded it",
+             Run | Analyze | Timed},
+            {"--trace-out", arg::text(o.traceOutPath, "FILE"),
+             "mode: record the workload as a binary trace", TraceOut},
+            {"--trace-buffer", arg::byteSize(o.traceBufferBytes),
+             "writer block size for --trace-out (default 1M = 64Ki "
+             "records per block)",
+             TraceOut},
+            {"--json", arg::text(o.jsonPath, "FILE"),
+             "export results as a JSON artifact (docs/METRICS.md)",
+             Simulate},
+            {"--series-out", arg::text(o.seriesPath, "FILE"),
+             "record a dir2b.series time-series artifact "
+             "(docs/METRICS.md); sampling never changes results",
+             Run | Timed},
+            {"--series-interval", arg::interval(o.seriesInterval),
+             "sample every N refs, or N ticks with --timed (default "
+             "4096)",
+             Run | Timed},
+            {"--progress", arg::on(o.progress),
+             "live progress line on stderr (refs/s, ETA); implies "
+             "sampling",
+             Run | Timed},
+            {"--sweep-procs", arg::counts(o.sweepProcs, 1, invalidProc - 1),
+             "mode: one functional run per comma-separated processor "
+             "count (e.g. 2,4,8), cells in parallel",
+             Sweep},
+            {"--threads", arg::count(o.threads, 1),
+             "--sweep-procs pool width (default: the DIR2B_THREADS env "
+             "var, else all cores)",
+             Sweep},
+            {"--no-oracle", arg::on(o.noOracle),
+             "skip coherence checking (faster)", Run | Sweep},
+            {"--invariants", arg::on(o.invariants),
+             "deep-check structures every 1k refs", Run | Sweep},
+            {"--analyze", arg::on(o.analyze),
+             "mode: print trace statistics, don't simulate", Analyze},
+            {"--timed", arg::on(o.timed),
+             "mode: run the discrete-event tier (tb|fm|yf), which always "
+             "checks coherence",
+             Timed},
+            {"--think", arg::count(o.think),
+             "processor think time between references (default 1)",
+             Timed},
+            {"--dir-ram-budget", arg::byteSize(o.dirRamBudget),
+             "total directory RAM budget (K/M/G; 0 = unlimited): cold "
+             "pages compress and spill to disk past it, results stay "
+             "bit-identical.  Schemes with no tiered directory "
+             "(classical, --timed fm, ...) refuse it",
+             Simulate},
+            {"--list-protocols", arg::on(listProtocols),
+             "print registered protocol names and exit"},
+        },
+        {{"--trace-out"},
+         {"--timed"},
+         {"--sweep-procs"},
+         {"--analyze"},
+         {"--record"},
+         {"a functional run"}},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--protocol") {
-            o.protocol = need(i);
-        } else if (arg == "--procs") {
-            o.procs = static_cast<ProcId>(
-                countArg(need(i), "--procs", invalidProc - 1));
-            o.procsSet = true;
-        } else if (arg == "--sets") {
-            o.sets = countArg(need(i), "--sets");
-        } else if (arg == "--ways") {
-            o.ways = countArg(need(i), "--ways");
-        } else if (arg == "--modules") {
-            o.modules = static_cast<ModuleId>(countArg(
-                need(i), "--modules",
-                std::numeric_limits<ModuleId>::max()));
-        } else if (arg == "--tb") {
-            o.tbCapacity = countArg(need(i), "--tb");
-        } else if (arg == "--bias") {
-            o.biasCapacity = countArg(need(i), "--bias");
-        } else if (arg == "--q") {
-            o.q = std::atof(need(i));
-        } else if (arg == "--w") {
-            o.w = std::atof(need(i));
-        } else if (arg == "--shared") {
-            o.sharedBlocks = countArg(need(i), "--shared");
-        } else if (arg == "--locality") {
-            o.locality = std::atof(need(i));
-        } else if (arg == "--refs") {
-            o.refs = countArg(need(i), "--refs");
-            o.refsSet = true;
-        } else if (arg == "--seed") {
-            o.seed = countArg(need(i), "--seed");
-        } else if (arg == "--trace") {
-            o.tracePath = need(i);
-        } else if (arg == "--record") {
-            o.recordPath = need(i);
-        } else if (arg == "--trace-in") {
-            o.traceInPath = need(i);
-        } else if (arg == "--trace-out") {
-            o.traceOutPath = need(i);
-        } else if (arg == "--trace-buffer") {
-            o.traceBufferBytes = parseByteSize(need(i),
-                                               "--trace-buffer");
-        } else if (arg == "--json") {
-            o.jsonPath = need(i);
-        } else if (arg == "--series-out") {
-            o.seriesPath = need(i);
-        } else if (arg == "--series-interval") {
-            o.seriesInterval = parseInterval(need(i),
-                                             "--series-interval");
-        } else if (arg == "--progress") {
-            o.progress = true;
-        } else if (arg == "--sweep-procs") {
-            std::string list = need(i);
-            for (std::size_t pos = 0; pos < list.size();) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok = list.substr(
-                    pos, comma == std::string::npos ? comma
-                                                    : comma - pos);
-                const std::uint64_t v =
-                    countArg(tok.c_str(), "--sweep-procs", invalidProc - 1);
-                if (v == 0)
-                    DIR2B_FATAL("--sweep-procs: bad count '", tok, "'");
-                o.sweepProcs.push_back(static_cast<ProcId>(v));
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-            if (o.sweepProcs.empty())
-                DIR2B_FATAL("--sweep-procs: empty list");
-        } else if (arg == "--threads") {
-            const std::uint64_t v = countArg(
-                need(i), "--threads", std::numeric_limits<unsigned>::max());
-            if (v == 0)
-                DIR2B_FATAL("--threads wants a positive integer");
-            o.threads = static_cast<unsigned>(v);
-        } else if (arg == "--no-oracle") {
-            o.noOracle = true;
-        } else if (arg == "--timed") {
-            o.timed = true;
-        } else if (arg == "--dir-ram-budget") {
-            o.dirRamBudget = parseByteSize(need(i),
-                                           "--dir-ram-budget");
-        } else if (arg == "--space-blocks") {
-            o.spaceBlocks = countArg(need(i), "--space-blocks");
-        } else if (arg == "--think") {
-            o.think = countArg(need(i), "--think");
-        } else if (arg == "--analyze") {
-            o.analyze = true;
-        } else if (arg == "--invariants") {
-            o.invariants = true;
-        } else if (arg == "--list-protocols") {
-            for (const auto &name : protocolNames())
-                std::printf("%s\n", name.c_str());
-            std::exit(0);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            std::exit(0);
-        } else {
-            usage(argv[0]);
-            DIR2B_FATAL("unknown option '", arg, "'");
-        }
+    const ParsedArgs args = parseArgs(argc, argv, spec);
+    if (listProtocols) {
+        for (const auto &name : protocolNames())
+            std::printf("%s\n", name.c_str());
+        std::exit(0);
     }
+    o.mode = ModeSet{1} << args.mode;
+    o.procsSet = args.has("--procs");
+    o.refsSet = args.has("--refs");
+    if (!o.tracePath.empty() && !o.traceInPath.empty())
+        DIR2B_FATAL("--trace-in excludes --trace");
     if (o.threads)
         setDefaultThreadCount(o.threads);
     return o;
@@ -429,8 +373,6 @@ traceReplayJson(const TraceReader &reader, bool batched)
 int
 recordBinary(const Options &o)
 {
-    if (!o.traceInPath.empty() || !o.recordPath.empty())
-        DIR2B_FATAL("--trace-out excludes --trace-in/--record");
     auto stream = makeStream(o, o.procs);
     std::uint32_t blockRecords = traceDefaultBlockRecords;
     if (o.traceBufferBytes) {
@@ -460,12 +402,6 @@ recordBinary(const Options &o)
 int
 runSweep(const Options &o)
 {
-    if (!o.tracePath.empty())
-        DIR2B_FATAL("--sweep-procs runs synthetic workloads only");
-    if (samplingRequested(o))
-        DIR2B_FATAL("--series-out/--series-interval/--progress sample "
-                    "a single run, not a --sweep-procs grid");
-
     const auto start = std::chrono::steady_clock::now();
     struct Cell
     {
@@ -542,10 +478,6 @@ runSweep(const Options &o)
 int
 runTimed(Options o)
 {
-    if (!o.tracePath.empty() || !o.recordPath.empty() || o.analyze)
-        DIR2B_FATAL("--timed runs synthetic workloads or binary "
-                    "trace replay (--trace-in) only");
-
     std::unique_ptr<TraceReader> reader;
     if (!o.traceInPath.empty())
         reader = std::make_unique<TraceReader>(o.traceInPath);
@@ -719,40 +651,16 @@ int
 main(int argc, char **argv)
 {
     Options o = parse(argc, argv);
-
-    if (samplingRequested(o) &&
-        (o.analyze || !o.recordPath.empty() || !o.traceOutPath.empty()))
-        DIR2B_FATAL("--series-out/--series-interval/--progress need a "
-                    "simulation run, not --analyze/--record/--trace-out");
-
-    if (!o.traceOutPath.empty())
+    if (o.mode == TraceOut)
         return recordBinary(o);
-
-    if (o.timed) {
-        if (o.noOracle)
-            DIR2B_FATAL("--no-oracle does not apply to --timed: the "
-                        "timed tier always checks coherence");
-        if (!o.sweepProcs.empty())
-            DIR2B_FATAL("--sweep-procs does not apply to --timed: a "
-                        "timed run has one processor count (--procs)");
-        if (o.threads)
-            DIR2B_FATAL("--threads does not apply to --timed: a timed "
-                        "run is one serial engine on one thread");
+    if (o.mode == Timed)
         return runTimed(o);
-    }
-
-    if (!o.sweepProcs.empty()) {
-        if (!o.traceInPath.empty())
-            DIR2B_FATAL("--sweep-procs runs synthetic workloads only");
+    if (o.mode == Sweep)
         return runSweep(o);
-    }
 
     std::unique_ptr<TraceReader> reader;
-    if (!o.traceInPath.empty()) {
-        if (!o.tracePath.empty() || !o.recordPath.empty())
-            DIR2B_FATAL("--trace-in excludes --trace/--record");
+    if (!o.traceInPath.empty())
         reader = std::make_unique<TraceReader>(o.traceInPath);
-    }
     ProcId procs = o.procs;
     if (reader && !o.procsSet && reader->header().numProcs)
         procs = static_cast<ProcId>(reader->header().numProcs);
@@ -763,7 +671,7 @@ main(int argc, char **argv)
     if (reader && !o.refsSet)
         o.refs = reader->totalRecords();
 
-    if (o.analyze) {
+    if (o.mode == Analyze) {
         if (reader) {
             printTraceStats(std::cout, analyzeTrace(*reader));
         } else {
@@ -774,7 +682,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!o.recordPath.empty()) {
+    if (o.mode == Record) {
         auto stream = makeStream(o, procs);
         std::ofstream out(o.recordPath);
         if (!out)

@@ -4,26 +4,17 @@
  *
  * Every bench/ grid binary accepts the same knobs:
  *
- *   --threads N   pool width for the cell sweep (0/default: the
+ *   --threads N   pool width for the cell sweep (default: the
  *                 DIR2B_THREADS environment knob, else all cores)
  *   --json PATH   also emit the machine-readable artifact
  *                 (docs/METRICS.md) next to the text tables
  *   --quick       shrink per-cell reference counts ~10x for smoke
  *                 runs; the *grid* (cell count) is unchanged
- *   --dir-ram-budget BYTES
- *                 total directory RAM budget per run (suffixes K/M/G
- *                 accepted); cold directory pages compress and spill
- *                 past it (util/tiered_store.hh).  0 = unlimited.
- *                 Statistics are bit-identical at any budget; only
- *                 host memory and wall clock move.  Benches without a
- *                 two-bit directory accept and ignore it.
- *   --series-out PATH
- *                 record a dir2b.series telemetry artifact from one
- *                 designated cell (benches with a timed tier; others
- *                 accept and ignore it — see each bench's blurb)
- *   --series-interval N
- *                 sample every N ticks (suffixes k/m/g; default 4096
- *                 when --series-out is given)
+ *
+ * bench_timed, the one bench with a tiered directory and a telemetry
+ * sampler, also accepts --dir-ram-budget BYTES (its two_bit cells),
+ * --series-out PATH and --series-interval N; the other benches reject
+ * them as unknown options.
  *
  * parseBenchOptions() also wires --threads into
  * setDefaultThreadCount() so nested library code sees the same width.
@@ -82,12 +73,13 @@ struct BenchOptions
 };
 
 /**
- * Parse argv.  Unknown options are fatal; --help prints usage (with
- * `blurb` as the first line) and exits 0.
+ * Parse argv (util/parse_args.hh): unknown options and malformed
+ * values are fatal; --help prints the usage, with `blurb`, and exits
+ * 0.  `timedKnobs` adds bench_timed's three extra flags.
  */
 BenchOptions parseBenchOptions(int argc, char **argv,
-                               const std::string &bench,
-                               const std::string &blurb);
+                               const std::string &blurb,
+                               bool timedKnobs = false);
 
 /** Wall-clock timer for the meta block. */
 class WallTimer

@@ -53,92 +53,6 @@ runResultToJson(const RunResult &r)
     return j;
 }
 
-namespace
-{
-
-/** StatVisitor rendering each entry as one JSON object. */
-class JsonStatVisitor : public StatVisitor
-{
-  public:
-    Json out = Json::array();
-
-    void
-    onCounter(const std::string &name, const std::string &desc,
-              const Counter &c) override
-    {
-        Json e = base("counter", name, desc);
-        e.set("value", static_cast<unsigned long long>(c.value()));
-        out.push(std::move(e));
-    }
-
-    void
-    onMean(const std::string &name, const std::string &desc,
-           const Mean &m) override
-    {
-        Json e = base("mean", name, desc);
-        e.set("mean", m.mean());
-        e.set("sum", m.sum());
-        e.set("samples", static_cast<unsigned long long>(m.samples()));
-        out.push(std::move(e));
-    }
-
-    void
-    onHistogram(const std::string &name, const std::string &desc,
-                const Histogram &h) override
-    {
-        Json e = base("histogram", name, desc);
-        e.set("samples", static_cast<unsigned long long>(h.samples()));
-        e.set("mean", h.mean());
-        e.set("min", static_cast<unsigned long long>(h.min()));
-        e.set("max", static_cast<unsigned long long>(h.max()));
-        e.set("p50", static_cast<unsigned long long>(h.p50()));
-        e.set("p95", static_cast<unsigned long long>(h.p95()));
-        e.set("p99", static_cast<unsigned long long>(h.p99()));
-        e.set("bucketWidth",
-              static_cast<unsigned long long>(h.bucketWidth()));
-        Json buckets = Json::array();
-        for (std::size_t i = 0; i < h.numBuckets(); ++i)
-            buckets.push(static_cast<unsigned long long>(h.bucket(i)));
-        e.set("buckets", std::move(buckets));
-        out.push(std::move(e));
-    }
-
-    void
-    onDerived(const std::string &name, const std::string &desc,
-              double value) override
-    {
-        Json e = base("derived", name, desc);
-        e.set("value", value);
-        out.push(std::move(e));
-    }
-
-  private:
-    static Json
-    base(const char *kind, const std::string &name,
-         const std::string &desc)
-    {
-        Json e = Json::object();
-        e.set("kind", kind);
-        e.set("name", name);
-        if (!desc.empty())
-            e.set("desc", desc);
-        return e;
-    }
-};
-
-} // namespace
-
-Json
-statGroupToJson(const StatGroup &g)
-{
-    JsonStatVisitor v;
-    g.visit(v);
-    Json j = Json::object();
-    j.set("group", g.name());
-    j.set("stats", std::move(v.out));
-    return j;
-}
-
 Json
 histogramSummaryJson(const Histogram &h)
 {
@@ -279,8 +193,7 @@ validateSweepArtifact(const Json &a)
         if (version >= 2) {
             // Distribution objects carry percentiles from v2 on: any
             // member named "latency", and any stat entry whose kind is
-            // "histogram" (inside a "stats" array, statGroupToJson
-            // shape).
+            // "histogram" (inside a "stats" array).
             if (cell.contains("latency")) {
                 if (!cell.at("latency").isObject())
                     return where + ": 'latency' is not an object";

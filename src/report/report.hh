@@ -72,9 +72,6 @@ Json countsToJson(const AccessCounts &c);
  *  state occupancies. */
 Json runResultToJson(const RunResult &r);
 
-/** A StatGroup: every entry with its kind, value(s) and description. */
-Json statGroupToJson(const StatGroup &g);
-
 /** Compact distribution summary (samples/mean/min/max/p50/p95/p99) —
  *  the shape sweep cells use for latency objects. */
 Json histogramSummaryJson(const Histogram &h);

@@ -83,27 +83,11 @@ StatGroup::addCounter(std::string name, const Counter *c, std::string desc)
 }
 
 void
-StatGroup::addMean(std::string name, const Mean *m, std::string desc)
-{
-    entries_.push_back(
-        Entry{Kind::Avg, std::move(name), std::move(desc), m});
-}
-
-void
 StatGroup::addHistogram(std::string name, const Histogram *h,
                         std::string desc)
 {
     entries_.push_back(
         Entry{Kind::Hist, std::move(name), std::move(desc), h});
-}
-
-void
-StatGroup::addDerived(std::string name, double (*fn)(const void *),
-                      const void *ctx, std::string desc)
-{
-    Entry e{Kind::Derived, std::move(name), std::move(desc), ctx};
-    e.fn = fn;
-    entries_.push_back(std::move(e));
 }
 
 void
@@ -125,13 +109,6 @@ StatGroup::dump(std::ostream &os) const
             line(e.name, std::to_string(c->value()), e.desc);
             break;
           }
-          case Kind::Avg: {
-            const auto *m = static_cast<const Mean *>(e.ptr);
-            std::ostringstream v;
-            v << std::fixed << std::setprecision(4) << m->mean();
-            line(e.name, v.str(), e.desc);
-            break;
-          }
           case Kind::Hist: {
             const auto *h = static_cast<const Histogram *>(e.ptr);
             std::ostringstream v;
@@ -140,35 +117,6 @@ StatGroup::dump(std::ostream &os) const
             line(e.name, v.str(), e.desc);
             break;
           }
-          case Kind::Derived: {
-            std::ostringstream v;
-            v << std::fixed << std::setprecision(4) << e.fn(e.ptr);
-            line(e.name, v.str(), e.desc);
-            break;
-          }
-        }
-    }
-}
-
-void
-StatGroup::visit(StatVisitor &v) const
-{
-    for (const auto &e : entries_) {
-        switch (e.kind) {
-          case Kind::Count:
-            v.onCounter(e.name, e.desc,
-                        *static_cast<const Counter *>(e.ptr));
-            break;
-          case Kind::Avg:
-            v.onMean(e.name, e.desc, *static_cast<const Mean *>(e.ptr));
-            break;
-          case Kind::Hist:
-            v.onHistogram(e.name, e.desc,
-                          *static_cast<const Histogram *>(e.ptr));
-            break;
-          case Kind::Derived:
-            v.onDerived(e.name, e.desc, e.fn(e.ptr));
-            break;
         }
     }
 }

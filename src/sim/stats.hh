@@ -3,11 +3,10 @@
  * Statistics framework.
  *
  * Components register named statistics in a StatGroup; experiments dump
- * groups in a uniform "name value [description]" format.  Three
+ * groups in a uniform "name value [description]" format.  Two
  * primitives cover everything dir2b measures:
  *
  *  - Counter:   monotonically increasing event count;
- *  - Mean:      running average (sum / samples);
  *  - Histogram: fixed-width bucket distribution with min/max/mean.
  */
 
@@ -35,27 +34,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Running mean of a sampled quantity. */
-class Mean
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double sum() const { return sum_; }
-    std::uint64_t samples() const { return count_; }
-    void reset() { sum_ = 0; count_ = 0; }
-
-  private:
-    double sum_ = 0;
-    std::uint64_t count_ = 0;
 };
 
 /** Fixed-bucket histogram with overflow bucket and summary moments. */
@@ -104,26 +82,6 @@ class Histogram
     std::uint64_t max_ = 0;
 };
 
-/**
- * Read-only visitor over a StatGroup's entries, in registration
- * order.  The report layer serializes groups through this interface;
- * derived statistics arrive pre-evaluated.
- */
-class StatVisitor
-{
-  public:
-    virtual ~StatVisitor() = default;
-    virtual void onCounter(const std::string &name,
-                           const std::string &desc, const Counter &c) = 0;
-    virtual void onMean(const std::string &name, const std::string &desc,
-                        const Mean &m) = 0;
-    virtual void onHistogram(const std::string &name,
-                             const std::string &desc,
-                             const Histogram &h) = 0;
-    virtual void onDerived(const std::string &name,
-                           const std::string &desc, double value) = 0;
-};
-
 /** A named collection of statistics that can render itself. */
 class StatGroup
 {
@@ -132,24 +90,14 @@ class StatGroup
 
     void addCounter(std::string name, const Counter *c,
                     std::string desc = "");
-    void addMean(std::string name, const Mean *m, std::string desc = "");
     void addHistogram(std::string name, const Histogram *h,
                       std::string desc = "");
-
-    /** Register a derived statistic computed at dump time. */
-    void addDerived(std::string name, double (*fn)(const void *),
-                    const void *ctx, std::string desc = "");
-
-    const std::string &name() const { return name_; }
 
     /** Write "group.stat value # desc" lines. */
     void dump(std::ostream &os) const;
 
-    /** Visit every entry in registration order. */
-    void visit(StatVisitor &v) const;
-
   private:
-    enum class Kind { Count, Avg, Hist, Derived };
+    enum class Kind { Count, Hist };
 
     struct Entry
     {
@@ -157,7 +105,6 @@ class StatGroup
         std::string name;
         std::string desc;
         const void *ptr;
-        double (*fn)(const void *) = nullptr;
     };
 
     std::string name_;

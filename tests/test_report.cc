@@ -108,52 +108,6 @@ TEST(Report, CountsRoundTripThroughJson)
                      c.uselessPerRef());
 }
 
-TEST(Report, StatGroupRoundTripThroughJson)
-{
-    Counter evictions;
-    evictions.inc(12);
-    Mean latency;
-    latency.sample(4.0);
-    latency.sample(8.0);
-    Histogram depth(2, 4);
-    depth.sample(1);
-    depth.sample(3);
-    depth.sample(100); // overflow bucket
-
-    StatGroup g("cache0");
-    g.addCounter("evictions", &evictions, "lines replaced");
-    g.addMean("latency", &latency, "cycles per access");
-    g.addHistogram("queueDepth", &depth);
-
-    const Json back = Json::parse(statGroupToJson(g).dump(2));
-    EXPECT_EQ(back.at("group").asString(), "cache0");
-    const Json &stats = back.at("stats");
-    ASSERT_EQ(stats.size(), 3u);
-
-    const Json &ctr = stats.at(0);
-    EXPECT_EQ(ctr.at("kind").asString(), "counter");
-    EXPECT_EQ(ctr.at("name").asString(), "evictions");
-    EXPECT_EQ(ctr.at("desc").asString(), "lines replaced");
-    EXPECT_EQ(ctr.at("value").asUint(), 12u);
-
-    const Json &mean = stats.at(1);
-    EXPECT_EQ(mean.at("kind").asString(), "mean");
-    EXPECT_DOUBLE_EQ(mean.at("mean").asDouble(), 6.0);
-    EXPECT_EQ(mean.at("samples").asUint(), 2u);
-
-    const Json &hist = stats.at(2);
-    EXPECT_EQ(hist.at("kind").asString(), "histogram");
-    EXPECT_EQ(hist.at("samples").asUint(), 3u);
-    EXPECT_EQ(hist.at("min").asUint(), 1u);
-    EXPECT_EQ(hist.at("max").asUint(), 100u);
-    EXPECT_EQ(hist.at("bucketWidth").asUint(), 2u);
-    // 4 regular buckets + overflow.
-    ASSERT_EQ(hist.at("buckets").size(), 5u);
-    EXPECT_EQ(hist.at("buckets").at(0).asUint(), 1u); // value 1
-    EXPECT_EQ(hist.at("buckets").at(1).asUint(), 1u); // value 3
-    EXPECT_EQ(hist.at("buckets").at(4).asUint(), 1u); // overflow
-}
-
 TEST(Report, ArtifactCarriesSchemaAndMeta)
 {
     Json cells = Json::array();
@@ -268,6 +222,29 @@ TEST(Report, ValidatorRejectsTraceReplayBeforeV4)
     const std::string err = validateSweepArtifact(a);
     EXPECT_NE(err.find("schema_version >= 4"), std::string::npos)
         << err;
+}
+
+TEST(Report, ValidatorRequiresPercentilesOnHistogramStats)
+{
+    // A "stats" array is input from outside the program (no binary
+    // writes one), so its histogram entries are still checked.
+    Json h = Json::object();
+    h.set("kind", "histogram");
+    h.set("samples", 3);
+    h.set("p50", 1);
+    h.set("p95", 2);
+    Json bad = Json::array();
+    bad.push(h);
+    const std::string err = validateSweepArtifact(
+        artifactWithCell(Json::object().set("stats", std::move(bad))));
+    EXPECT_NE(err.find("histogram stat lacks 'p99'"), std::string::npos)
+        << err;
+    h.set("p99", 3);
+    Json good = Json::array();
+    good.push(std::move(h));
+    EXPECT_EQ(validateSweepArtifact(artifactWithCell(
+                  Json::object().set("stats", std::move(good)))),
+              "");
 }
 
 TEST(Report, WriteAndReadArtifactFile)

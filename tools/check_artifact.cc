@@ -28,6 +28,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/telemetry.hh"
 #include "report/report.hh"
+#include "util/parse_args.hh"
 
 namespace
 {
@@ -39,22 +40,6 @@ fail(const std::string &msg)
 {
     std::fprintf(stderr, "check_artifact: %s\n", msg.c_str());
     std::exit(1);
-}
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s FILE [--cells N] [--bench NAME] [--compare OTHER]\n"
-        "\n"
-        "Validate a dir2b.sweep, dir2b.check, dir2b.trace or\n"
-        "dir2b.series JSON artifact (see docs/METRICS.md,\n"
-        "docs/CHECKING.md and docs/TRACING.md).\n"
-        "  --cells N       require exactly N cells (sweep/check only)\n"
-        "  --bench NAME    require the bench field to equal NAME\n"
-        "  --compare OTHER require payload equality with artifact\n"
-        "                  OTHER, ignoring the volatile meta block\n",
-        argv0);
 }
 
 /** True when the artifact declares schema discriminator `name`. */
@@ -94,37 +79,27 @@ validate(const Json &a, const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string path;
     std::string benchName;
     std::string comparePath;
     long long wantCells = -1;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fail(std::string(flag) + " requires an argument");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--cells") {
-            wantCells = std::atoll(value("--cells").c_str());
-        } else if (arg == "--bench") {
-            benchName = value("--bench");
-        } else if (arg == "--compare") {
-            comparePath = value("--compare");
-        } else if (!arg.empty() && arg[0] == '-') {
-            fail("unknown option '" + arg + "' (see --help)");
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            fail("unexpected extra argument '" + arg + "'");
-        }
-    }
-    if (path.empty())
-        fail("no artifact file given (see --help)");
+    const dir2b::ParsedArgs args = dir2b::parseArgs(
+        argc, argv,
+        {"FILE [options]",
+         "Validate a dir2b.sweep, dir2b.check, dir2b.trace or "
+         "dir2b.series JSON artifact (see docs/METRICS.md, "
+         "docs/CHECKING.md and docs/TRACING.md).",
+         {
+             {"--cells", dir2b::arg::count(wantCells),
+              "require exactly N cells (sweep/check only)"},
+             {"--bench", dir2b::arg::text(benchName, "NAME"),
+              "require the bench field to equal NAME"},
+             {"--compare", dir2b::arg::text(comparePath, "OTHER"),
+              "require payload equality with artifact OTHER, ignoring "
+              "the volatile meta block"},
+         },
+         {{"", "FILE"}}});
+    const std::string &path = args.operands.front();
 
     const Json a = dir2b::readArtifact(path);
     validate(a, path);

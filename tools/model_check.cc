@@ -23,7 +23,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,32 +31,7 @@
 #include "proto/protocol_factory.hh"
 #include "proto/table_engine.hh"
 #include "util/parallel.hh"
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [--quick] [--seeds N] [--refs N] [--no-timed]\n"
-        "          [--no-fuzz] [--protocol NAME] [--threads N]\n"
-        "          [--json OUT]\n"
-        "\n"
-        "Exhaustive small-configuration model check plus a\n"
-        "differential fuzz campaign (see docs/CHECKING.md).\n"
-        "  --quick          smaller fuzz campaign (CI smoke budget)\n"
-        "  --seeds N        fuzz campaign size (default 16, quick 4)\n"
-        "  --refs N         references per fuzz seed (default 4000)\n"
-        "  --no-timed       skip the timed-tier lockstep run\n"
-        "  --no-fuzz        explorer only (fixture generation)\n"
-        "  --protocol NAME  restrict the grid to one scheme\n"
-        "  --threads N      worker pool width (default: all cores)\n"
-        "  --json OUT       write the dir2b.check artifact to OUT\n",
-        argv0);
-}
-
-} // namespace
+#include "util/parse_args.hh"
 
 int
 main(int argc, char **argv)
@@ -65,41 +39,39 @@ main(int argc, char **argv)
     using namespace dir2b;
 
     bool quick = false;
-    bool withTimed = true;
-    bool withFuzz = true;
+    bool noTimed = false;
+    bool noFuzz = false;
     std::uint64_t seeds = 0;
     std::uint64_t refs = 4000;
     unsigned threads = 0;
     std::string jsonPath;
     std::string onlyProtocol;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--no-timed") {
-            withTimed = false;
-        } else if (arg == "--no-fuzz") {
-            withFuzz = false;
-        } else if (arg == "--protocol" && i + 1 < argc) {
-            onlyProtocol = argv[++i];
-        } else if (arg == "--seeds" && i + 1 < argc) {
-            seeds = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--refs" && i + 1 < argc) {
-            refs = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--json" && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else {
-            usage(argv[0]);
-            return 1;
-        }
-    }
+    parseArgs(
+        argc, argv,
+        {"[options]",
+         "Exhaustive small-configuration model check plus a "
+         "differential fuzz campaign (see docs/CHECKING.md).",
+         {
+             {"--quick", arg::on(quick),
+              "smaller fuzz campaign (CI smoke budget)"},
+             {"--seeds", arg::count(seeds),
+              "fuzz campaign size (default 16, quick 4)"},
+             {"--refs", arg::count(refs),
+              "references per fuzz seed (default 4000)"},
+             {"--no-timed", arg::on(noTimed),
+              "skip the timed-tier lockstep run"},
+             {"--no-fuzz", arg::on(noFuzz),
+              "explorer only (fixture generation)"},
+             {"--protocol", arg::text(onlyProtocol, "NAME"),
+              "restrict the grid to one scheme"},
+             {"--threads", arg::count(threads, 1),
+              "worker pool width (default: all cores)"},
+             {"--json", arg::text(jsonPath, "OUT"),
+              "write the dir2b.check artifact to OUT"},
+         }});
+    const bool withTimed = !noTimed;
+    const bool withFuzz = !noFuzz;
     if (seeds == 0)
         seeds = quick ? 4 : 16;
     if (threads)

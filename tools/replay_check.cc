@@ -15,63 +15,36 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "check/differ.hh"
 #include "report/report.hh"
 #include "util/parallel.hh"
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s SEEDFILE [--timed] [--expect-fail] [--json OUT]\n"
-        "\n"
-        "Replay a dir2b fuzzer seed file (see docs/CHECKING.md).\n"
-        "  --timed        also drive the timed two-bit tier\n"
-        "  --expect-fail  exit 0 only if the replay DOES fail\n"
-        "  --json OUT     write the verdict as a dir2b.check artifact\n",
-        argv0);
-}
-
-} // namespace
+#include "util/parse_args.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace dir2b;
 
-    std::string seedPath;
     std::string jsonPath;
     bool withTimed = false;
     bool expectFail = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--timed") {
-            withTimed = true;
-        } else if (arg == "--expect-fail") {
-            expectFail = true;
-        } else if (arg == "--json" && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (seedPath.empty() && arg[0] != '-') {
-            seedPath = arg;
-        } else {
-            usage(argv[0]);
-            return 1;
-        }
-    }
-    if (seedPath.empty()) {
-        usage(argv[0]);
-        return 1;
-    }
+    const ParsedArgs args = parseArgs(
+        argc, argv,
+        {"SEEDFILE [options]",
+         "Replay a dir2b fuzzer seed file (see docs/CHECKING.md).",
+         {
+             {"--timed", arg::on(withTimed),
+              "also drive the timed two-bit tier"},
+             {"--expect-fail", arg::on(expectFail),
+              "exit 0 only if the replay DOES fail"},
+             {"--json", arg::text(jsonPath, "OUT"),
+              "write the verdict as a dir2b.check artifact"},
+         },
+         {{"", "SEEDFILE"}}});
+    const std::string &seedPath = args.operands.front();
 
     const auto t0 = std::chrono::steady_clock::now();
     const ReplaySeed seed = readSeedFile(seedPath);

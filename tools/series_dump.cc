@@ -27,6 +27,7 @@
 
 #include "obs/telemetry.hh"
 #include "report/report.hh"
+#include "util/parse_args.hh"
 
 namespace
 {
@@ -38,22 +39,6 @@ fail(const std::string &msg)
 {
     std::fprintf(stderr, "series_dump: %s\n", msg.c_str());
     std::exit(1);
-}
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s FILE [options]\n"
-        "\n"
-        "Print a dir2b.series time-series artifact (docs/METRICS.md)\n"
-        "as a per-interval table plus a phase-boundary report.\n"
-        "  --metric NAME        only this column (repeatable)\n"
-        "  --list               list metric names and kinds, exit\n"
-        "  --json               emit the derived view as JSON\n"
-        "  --phase-threshold F  relative rate change that counts as a\n"
-        "                       phase boundary (default 0.5)\n",
-        argv0);
 }
 
 /** The artifact, decoded into flat vectors. */
@@ -227,42 +212,29 @@ jsonView(const Series &s, const std::vector<std::size_t> &cols,
 int
 main(int argc, char **argv)
 {
-    std::string path;
     std::vector<std::string> wantMetrics;
     bool list = false;
     bool json = false;
     double threshold = 0.5;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fail(std::string(flag) + " requires an argument");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--metric") {
-            wantMetrics.push_back(value("--metric"));
-        } else if (arg == "--list") {
-            list = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--phase-threshold") {
-            threshold = std::atof(value("--phase-threshold").c_str());
-            if (threshold <= 0.0 || threshold > 1.0)
-                fail("--phase-threshold wants a value in (0, 1]");
-        } else if (!arg.empty() && arg[0] == '-') {
-            fail("unknown option '" + arg + "' (see --help)");
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            fail("unexpected extra argument '" + arg + "'");
-        }
-    }
-    if (path.empty())
-        fail("no artifact file given (see --help)");
+    const dir2b::ParsedArgs args = dir2b::parseArgs(
+        argc, argv,
+        {"FILE [options]",
+         "Print a dir2b.series time-series artifact (docs/METRICS.md) "
+         "as a per-interval table plus a phase-boundary report.",
+         {
+             {"--metric", dir2b::arg::texts(wantMetrics, "NAME"),
+              "only this column (repeatable)"},
+             {"--list", dir2b::arg::on(list),
+              "list metric names and kinds, exit"},
+             {"--json", dir2b::arg::on(json),
+              "emit the derived view as JSON"},
+             {"--phase-threshold", dir2b::arg::real(threshold, 0.0, 1.0),
+              "relative rate change that counts as a phase boundary "
+              "(default 0.5)"},
+         },
+         {{"", "FILE"}}});
+    const std::string &path = args.operands.front();
 
     const Json a = dir2b::readArtifact(path);
     const std::string err = dir2b::validateSeriesArtifact(a);

@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,40 +47,6 @@ fail(const std::string &msg)
 {
     std::fprintf(stderr, "trace_dump: %s\n", msg.c_str());
     std::exit(1);
-}
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "\n"
-        "Run a timed workload with tracing and write a dir2b.trace\n"
-        "artifact (Perfetto-loadable; see docs/TRACING.md).\n"
-        "  --out PATH      artifact path (default: dir2b.trace)\n"
-        "  --protocol P    tb | fm | yf (default: tb)\n"
-        "  --procs N       processor-cache pairs (default: 4)\n"
-        "  --modules M     controller-memory modules (default: 2)\n"
-        "  --refs N        references per processor (default: 2000)\n"
-        "  --seed S        synthetic workload seed (default: 31)\n"
-        "  --q Q           shared-reference probability (default: 0.10)\n"
-        "  --net KIND      ideal | crossbar | bus (default: crossbar)\n"
-        "  --per-block     per-block-concurrent controllers (Sec. 3.2.5"
-        " option 2)\n"
-        "  --snoop         duplicate cache directories (Sec. 4.4a)\n"
-        "  --capacity N    recorder ring capacity in events "
-        "(default: 262144)\n"
-        "  --series-interval N\n"
-        "                  sample the telemetry registry every N ticks\n"
-        "                  (k/m/g suffixes) and render every metric as\n"
-        "                  a Perfetto counter track in the artifact\n"
-        "  --series-out PATH\n"
-        "                  additionally write the samples as a\n"
-        "                  dir2b.series artifact (default interval\n"
-        "                  4096 if --series-interval is absent)\n"
-        "  --debug         route DIR2B_DEBUG messages into a 'log' "
-        "track\n",
-        argv0);
 }
 
 /** Per-phase latency summary (merged across components). */
@@ -126,66 +91,44 @@ main(int argc, char **argv)
     std::string seriesPath;
     std::uint64_t seriesInterval = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fail(std::string(flag) + " requires an argument");
-            return argv[++i];
-        };
-        // An unsigned count flag, at most `max` so it survives the
-        // narrowing to unsigned.
-        auto count = [&](const char *flag, std::uint64_t max =
-                             std::numeric_limits<std::uint64_t>::max()) {
-            const std::uint64_t v =
-                parseScaledUint(value(flag).c_str(), flag, "count");
-            if (v > max)
-                fail(std::string(flag) + ": " + std::to_string(v) +
-                     " exceeds the largest allowed, " +
-                     std::to_string(max));
-            return v;
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--out") {
-            outPath = value("--out");
-        } else if (arg == "--protocol") {
-            protoName = value("--protocol");
-        } else if (arg == "--net") {
-            netName = value("--net");
-        } else if (arg == "--procs") {
-            procs = static_cast<unsigned>(
-                count("--procs", invalidProc - 1));
-        } else if (arg == "--modules") {
-            modules = static_cast<unsigned>(
-                count("--modules", std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--refs") {
-            refs = count("--refs");
-        } else if (arg == "--seed") {
-            seed = count("--seed");
-        } else if (arg == "--q") {
-            q = std::atof(value("--q").c_str());
-        } else if (arg == "--capacity") {
-            capacity = count("--capacity");
-        } else if (arg == "--series-out") {
-            seriesPath = value("--series-out");
-        } else if (arg == "--series-interval") {
-            seriesInterval = parseInterval(
-                value("--series-interval").c_str(),
-                "--series-interval");
-        } else if (arg == "--per-block") {
-            perBlock = true;
-        } else if (arg == "--snoop") {
-            snoop = true;
-        } else if (arg == "--debug") {
-            debug = true;
-        } else {
-            fail("unknown option '" + arg + "' (see --help)");
-        }
-    }
-    if (procs == 0 || modules == 0 || capacity == 0)
-        fail("--procs, --modules and --capacity must be positive");
+    parseArgs(
+        argc, argv,
+        {"[options]",
+         "Run a timed workload with tracing and write a dir2b.trace "
+         "artifact (Perfetto-loadable; see docs/TRACING.md).",
+         {
+             {"--out", arg::text(outPath, "PATH"),
+              "artifact path (default: dir2b.trace)"},
+             {"--protocol", arg::text(protoName, "P"),
+              "tb | fm | yf (default: tb)"},
+             {"--procs", arg::count(procs, 1, invalidProc - 1),
+              "processor-cache pairs (default: 4)"},
+             {"--modules", arg::count(modules, 1),
+              "controller-memory modules (default: 2)"},
+             {"--refs", arg::count(refs),
+              "references per processor (default: 2000)"},
+             {"--seed", arg::count(seed),
+              "synthetic workload seed (default: 31)"},
+             {"--q", arg::real(q, 0.0, 1.0),
+              "shared-reference probability (default: 0.10)"},
+             {"--net", arg::text(netName, "KIND"),
+              "ideal | crossbar | bus (default: crossbar)"},
+             {"--per-block", arg::on(perBlock),
+              "per-block-concurrent controllers (Sec. 3.2.5 option 2)"},
+             {"--snoop", arg::on(snoop),
+              "duplicate cache directories (Sec. 4.4a)"},
+             {"--capacity", arg::count(capacity, 1),
+              "recorder ring capacity in events (default: 262144)"},
+             {"--series-interval", arg::interval(seriesInterval),
+              "sample the telemetry registry every N ticks (k/m/g "
+              "suffixes) and render every metric as a Perfetto counter "
+              "track in the artifact"},
+             {"--series-out", arg::text(seriesPath, "PATH"),
+              "additionally write the samples as a dir2b.series artifact "
+              "(default interval 4096 if --series-interval is absent)"},
+             {"--debug", arg::on(debug),
+              "route DIR2B_DEBUG messages into a 'log' track"},
+         }});
 
     TimedConfig cfg;
     if (protoName == "tb")
@@ -238,7 +181,7 @@ main(int argc, char **argv)
     scfg.privateBlocks = 96;
     scfg.hotBlocks = 24;
     scfg.sharedLocality = 0.9;
-    scfg.seed = static_cast<std::uint32_t>(seed);
+    scfg.seed = seed;
     auto stream = std::make_shared<SyntheticStream>(scfg);
     auto src = [stream](ProcId p) -> std::optional<MemRef> {
         return stream->nextFor(p);

@@ -19,40 +19,19 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "report/bench_cli.hh"
 #include "trace/trace_binary.hh"
 #include "trace/trace_io.hh"
 #include "util/logging.hh"
+#include "util/parse_args.hh"
 
 using namespace dir2b;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s MODE ...\n"
-        "  pack IN.trc OUT.d2t [--buffer BYTES]\n"
-        "      convert a text trace to the binary block format\n"
-        "      (--buffer: writer block size, k/m/g suffixes;\n"
-        "      default 1M = 64Ki records per block)\n"
-        "  unpack IN.d2t OUT.trc\n"
-        "      convert a binary trace back to text\n"
-        "  info FILE.d2t [--blocks]\n"
-        "      print the file header; --blocks adds per-block\n"
-        "      headers and digests (never reads record payload)\n"
-        "  verify FILE.d2t\n"
-        "      recompute every block/running/file digest\n",
-        argv0);
-}
 
 int
 doPack(const std::string &in, const std::string &out,
@@ -152,55 +131,39 @@ doVerify(const std::string &in)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage(argv[0]);
-        return 1;
-    }
-    const std::string mode = argv[1];
-    if (mode == "--help" || mode == "-h") {
-        usage(argv[0]);
-        return 0;
-    }
-
-    std::vector<std::string> paths;
     std::uint64_t bufferBytes = 0;
     bool blocks = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--buffer") {
-            if (++i >= argc)
-                DIR2B_FATAL("missing value for --buffer");
-            bufferBytes = parseByteSize(argv[i], "--buffer");
-        } else if (arg == "--blocks") {
-            blocks = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
-            DIR2B_FATAL("unknown option '", arg, "'");
-        } else {
-            paths.push_back(arg);
-        }
-    }
-
-    if (mode == "pack") {
-        if (paths.size() != 2)
-            DIR2B_FATAL("pack wants IN.trc OUT.d2t");
+    // Mode indices, in the order of the mode list below.
+    enum { Pack, Unpack, Info, Verify };
+    const ParsedArgs args = parseArgs(
+        argc, argv,
+        {"MODE ...",
+         "Convert and inspect binary traces (docs/TRACES.md).",
+         {
+             {"--buffer", arg::byteSize(bufferBytes),
+              "pack: writer block size (k/m/g suffixes; default 1M = "
+              "64Ki records per block)",
+              1u << Pack},
+             {"--blocks", arg::on(blocks),
+              "info: add per-block headers and digests (never reads "
+              "record payload)",
+              1u << Info},
+         },
+         {{"pack", "IN.trc OUT.d2t",
+           "convert a text trace to the binary block format"},
+          {"unpack", "IN.d2t OUT.trc", "convert a binary trace back to text"},
+          {"info", "FILE.d2t", "print the file header"},
+          {"verify", "FILE.d2t", "recompute every block/running/file digest"}},
+         ModeBy::Word});
+    const std::vector<std::string> &paths = args.operands;
+    switch (args.mode) {
+      case Pack:
         return doPack(paths[0], paths[1], bufferBytes);
-    }
-    if (mode == "unpack") {
-        if (paths.size() != 2)
-            DIR2B_FATAL("unpack wants IN.d2t OUT.trc");
+      case Unpack:
         return doUnpack(paths[0], paths[1]);
-    }
-    if (mode == "info") {
-        if (paths.size() != 1)
-            DIR2B_FATAL("info wants FILE.d2t");
+      case Info:
         return doInfo(paths[0], blocks);
-    }
-    if (mode == "verify") {
-        if (paths.size() != 1)
-            DIR2B_FATAL("verify wants FILE.d2t");
+      default:
         return doVerify(paths[0]);
     }
-    usage(argv[0]);
-    DIR2B_FATAL("unknown mode '", mode, "'");
 }
