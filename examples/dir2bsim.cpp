@@ -235,6 +235,18 @@ parse(int argc, char **argv)
     o.refsSet = args.has("--refs");
     if (!o.tracePath.empty() && !o.traceInPath.empty())
         DIR2B_FATAL("--trace-in excludes --trace");
+    // A text trace fixes the workload, so the synthetic knobs would be
+    // ignored.  (--trace-in keeps them: replays echo the recording's
+    // knobs into their params.)
+    if (!o.tracePath.empty())
+        for (const char *knob : {"--q", "--w", "--shared", "--locality",
+                                 "--seed", "--space-blocks"})
+            if (args.has(knob))
+                DIR2B_FATAL(knob, " does not apply to --trace: the trace "
+                                  "fixes the workload");
+    if (o.mode == Analyze && !o.traceInPath.empty() && o.procsSet)
+        DIR2B_FATAL("--procs does not apply to --analyze --trace-in: the "
+                    "trace header fixes it");
     if (o.threads)
         setDefaultThreadCount(o.threads);
     return o;
@@ -673,7 +685,7 @@ main(int argc, char **argv)
 
     if (o.mode == Analyze) {
         if (reader) {
-            printTraceStats(std::cout, analyzeTrace(*reader));
+            printTraceStats(std::cout, analyzeTrace(*reader, o.refs));
         } else {
             auto stream = makeStream(o, procs);
             const auto refs = recordStream(*stream, o.refs);

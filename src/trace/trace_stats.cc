@@ -70,13 +70,17 @@ analyzeTrace(const std::vector<MemRef> &refs)
 }
 
 TraceStats
-analyzeTrace(const TraceReader &reader)
+analyzeTrace(const TraceReader &reader, std::uint64_t maxRefs)
 {
     TraceStatsBuilder b;
-    for (std::size_t i = 0; i < reader.numBlocks(); ++i) {
+    for (std::size_t i = 0; i < reader.numBlocks() && maxRefs; ++i) {
         const AccessBatch batch = reader.block(i);
-        for (const TraceRecord &rec : batch)
+        for (const TraceRecord &rec : batch) {
+            if (maxRefs == 0)
+                break;
+            --maxRefs;
             b.add(rec.proc, rec.addr, rec.write());
+        }
     }
     return b.finish();
 }

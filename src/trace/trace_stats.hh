@@ -96,8 +96,10 @@ class TraceStatsBuilder
 /** Analyse a recorded reference sequence. */
 TraceStats analyzeTrace(const std::vector<MemRef> &refs);
 
-/** Analyse a binary trace block by block, zero-copy. */
-TraceStats analyzeTrace(const TraceReader &reader);
+/** Analyse the first `maxRefs` records of a binary trace (all of
+ *  them by default) block by block, zero-copy. */
+TraceStats analyzeTrace(const TraceReader &reader,
+                        std::uint64_t maxRefs = ~std::uint64_t{0});
 
 /** Human-readable report. */
 void printTraceStats(std::ostream &os, const TraceStats &s);

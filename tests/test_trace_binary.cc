@@ -18,6 +18,7 @@
 #include "temp_path.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_binary.hh"
+#include "trace/trace_stats.hh"
 #include "util/random.hh"
 
 namespace dir2b
@@ -315,6 +316,24 @@ TEST(TraceBinary, BatchStreamCoversEveryRecordOnce)
         }
     EXPECT_EQ(i, refs.size());
     EXPECT_TRUE(batches.nextBatch().empty());
+}
+
+TEST(TraceBinary, AnalyzeCapsAtMaxRefsInTraceOrder)
+{
+    TempTrace t("analyze_cap");
+    const std::vector<MemRef> refs = someRefs(150, 11);
+    writeAll(t.path(), refs, 32);
+    TraceReader reader(t.path());
+    for (const std::size_t cap : {0, 10, 32, 33, 150}) {
+        const TraceStats got = analyzeTrace(reader, cap);
+        const TraceStats want = analyzeTrace(std::vector<MemRef>(
+            refs.begin(), refs.begin() + static_cast<long>(cap)));
+        EXPECT_EQ(got.refs, cap);
+        EXPECT_EQ(got.writes, want.writes) << cap;
+        EXPECT_EQ(got.distinctBlocks, want.distinctBlocks) << cap;
+    }
+    EXPECT_EQ(analyzeTrace(reader, 1000).refs, refs.size());
+    EXPECT_EQ(analyzeTrace(reader).refs, refs.size());
 }
 
 TEST(TraceBinary, ProcSourceSplitsByProcessor)
