@@ -122,21 +122,30 @@ class TwoBitDirectory
     Counter setstates_;
 };
 
+/**
+ * The DirStoreCounters field list: member, kind, description, in the
+ * key order of the dir2b.sweep v3 "dirStore" object.
+ */
+#define DIR2B_DIR_STORE_COUNTERS(X)                                         \
+    X(ramBudgetBytes, Gauge, "total configured RAM budget")                 \
+    X(residentBytes, Gauge, "hot raw + cold compressed bytes")              \
+    X(compressedBytes, Gauge, "cold compressed bytes")                      \
+    X(segmentBytes, Gauge, "bytes appended to disk segments")               \
+    X(hotPages, Gauge, "pages held raw")                                    \
+    X(coldPages, Gauge, "pages held compressed")                            \
+    X(diskPages, Gauge, "pages held on disk")                               \
+    X(compressions, Counter, "hot -> cold demotions")                       \
+    X(decompressions, Counter, "cold/disk -> hot promotions")               \
+    X(diskPageWrites, Counter, "cold -> disk spills")                       \
+    X(diskPageReads, Counter, "disk -> hot reloads")
+
 /** Aggregated tiered-storage counters across a system's directories
  *  (the dirStore object of the dir2b.sweep v3 schema). */
 struct DirStoreCounters
 {
-    std::uint64_t ramBudgetBytes = 0; ///< total configured budget
-    std::uint64_t residentBytes = 0;  ///< hot raw + cold compressed
-    std::uint64_t compressedBytes = 0;
-    std::uint64_t segmentBytes = 0;   ///< appended to disk segments
-    std::uint64_t hotPages = 0;
-    std::uint64_t coldPages = 0;
-    std::uint64_t diskPages = 0;
-    std::uint64_t compressions = 0;
-    std::uint64_t decompressions = 0;
-    std::uint64_t diskPageWrites = 0;
-    std::uint64_t diskPageReads = 0;
+#define X(m, kind, desc) std::uint64_t m = 0;
+    DIR2B_DIR_STORE_COUNTERS(X)
+#undef X
 
     void
     add(const TwoBitDirectory &dir)
@@ -155,6 +164,24 @@ struct DirStoreCounters
         diskPageReads += st.diskPageReads;
     }
 };
+
+/** The DirStoreCounters field list as data. */
+inline constexpr StatField<DirStoreCounters, std::uint64_t>
+    dirStoreFields[] = {
+#define X(m, kind, desc) {&DirStoreCounters::m, #m, desc, MetricKind::kind},
+        DIR2B_DIR_STORE_COUNTERS(X)
+#undef X
+};
+
+/** Series probe shared by both tiers: field `f` of
+ *  `src.dirStoreCounters()`, where ctx is a `const Src *`. */
+template <class Src>
+std::uint64_t
+dirStoreField(const void *ctx, std::size_t f)
+{
+    return static_cast<const Src *>(ctx)->dirStoreCounters().*
+           dirStoreFields[f].member;
+}
 
 /** Split a total directory RAM budget evenly across modules
  *  (0 stays 0 = unlimited). */

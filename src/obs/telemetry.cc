@@ -14,22 +14,15 @@ namespace dir2b
 // ----------------------------------------------------------------------
 
 std::size_t
-MetricRegistry::push(std::string name, MetricKind kind, Src src,
-                     const void *ptr, Probe fn)
+MetricRegistry::push(std::string name, MetricKind kind, const void *ptr,
+                     Probe fn, std::size_t arg)
 {
     DIR2B_ASSERT(!name.empty(), "metric name must be non-empty");
     if (find(name.c_str()) != npos)
         DIR2B_FATAL("duplicate metric '", name, "'");
     names_.push_back(std::move(name));
-    metrics_.push_back({names_.back().c_str(), ptr, fn, kind, src});
+    metrics_.push_back({names_.back().c_str(), ptr, fn, arg, kind});
     return metrics_.size() - 1;
-}
-
-std::size_t
-MetricRegistry::add(std::string name, MetricKind kind, const Counter *c)
-{
-    DIR2B_ASSERT(c, "null Counter source");
-    return push(std::move(name), kind, Src::Stat, c, nullptr);
 }
 
 std::size_t
@@ -37,15 +30,15 @@ MetricRegistry::add(std::string name, MetricKind kind,
                     const std::uint64_t *word)
 {
     DIR2B_ASSERT(word, "null word source");
-    return push(std::move(name), kind, Src::Word, word, nullptr);
+    return push(std::move(name), kind, word, nullptr, 0);
 }
 
 std::size_t
 MetricRegistry::add(std::string name, MetricKind kind, Probe fn,
-                    const void *ctx)
+                    const void *ctx, std::size_t arg)
 {
     DIR2B_ASSERT(fn, "null probe source");
-    return push(std::move(name), kind, Src::Probe, ctx, fn);
+    return push(std::move(name), kind, ctx, fn, arg);
 }
 
 std::size_t
@@ -61,15 +54,8 @@ std::uint64_t
 MetricRegistry::read(std::size_t i) const
 {
     const Metric &m = metrics_[i];
-    switch (m.src) {
-      case Src::Stat:
-        return static_cast<const Counter *>(m.ptr)->value();
-      case Src::Word:
-        return *static_cast<const std::uint64_t *>(m.ptr);
-      case Src::Probe:
-        return m.fn(m.ptr);
-    }
-    return 0; // unreachable
+    return m.fn ? m.fn(m.ptr, m.arg)
+                : *static_cast<const std::uint64_t *>(m.ptr);
 }
 
 // ----------------------------------------------------------------------

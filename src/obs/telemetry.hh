@@ -55,22 +55,16 @@ namespace dir2b
 class TraceRecorder;
 class ProgressMeter;
 
-/** How a metric's samples relate over time. */
-enum class MetricKind : std::uint8_t
-{
-    Counter, ///< monotonically non-decreasing (rates = deltas)
-    Gauge,   ///< instantaneous level (queue depth, resident bytes)
-};
-
 /**
  * Named read-only views of component statistics.  Registration (setup
- * time) allocates; read() does not.  Three source shapes cover every
+ * time) allocates; read() does not.  Two source shapes cover every
  * component without adapters:
  *
- *  - a sim/stats.hh Counter,
  *  - a plain uint64 word (proto/counts.hh fields),
- *  - a capture-less probe function + context pointer, for values that
- *    need aggregation across controllers at read time.
+ *  - a capture-less probe function + context pointer + argument, for
+ *    values that need aggregation across components at read time;
+ *    the argument is typically an index into a stats field list
+ *    (addStatFields).
  *
  * Names must be unique (fatal otherwise) and live in a deque so the
  * c_str() pointers handed to TraceRecorder stay stable forever.
@@ -78,15 +72,14 @@ enum class MetricKind : std::uint8_t
 class MetricRegistry
 {
   public:
-    using Probe = std::uint64_t (*)(const void *ctx);
+    using Probe = std::uint64_t (*)(const void *ctx, std::size_t arg);
 
     static constexpr std::size_t npos = ~std::size_t(0);
 
-    std::size_t add(std::string name, MetricKind kind, const Counter *c);
     std::size_t add(std::string name, MetricKind kind,
                     const std::uint64_t *word);
     std::size_t add(std::string name, MetricKind kind, Probe fn,
-                    const void *ctx);
+                    const void *ctx, std::size_t arg = 0);
 
     std::size_t size() const { return metrics_.size(); }
     const char *name(std::size_t i) const { return metrics_[i].name; }
@@ -99,23 +92,38 @@ class MetricRegistry
     std::uint64_t read(std::size_t i) const;
 
   private:
-    enum class Src : std::uint8_t { Stat, Word, Probe };
-
+    /** A word source when fn is null, else a probe. */
     struct Metric
     {
         const char *name;
         const void *ptr;
         Probe fn;
+        std::size_t arg;
         MetricKind kind;
-        Src src;
     };
 
-    std::size_t push(std::string name, MetricKind kind, Src src,
-                     const void *ptr, Probe fn);
+    std::size_t push(std::string name, MetricKind kind, const void *ptr,
+                     Probe fn, std::size_t arg);
 
     std::deque<std::string> names_; ///< stable c_str storage
     std::vector<Metric> metrics_;
 };
+
+/**
+ * Register every field of a stats field list as `statName(group,
+ * field)`, with the field's kind, read by probe(ctx, i) for the i-th
+ * field.  The series order is the list order.
+ */
+template <class S, class V, std::size_t N>
+void
+addStatFields(MetricRegistry &reg, std::string_view group,
+              const StatField<S, V> (&fields)[N],
+              MetricRegistry::Probe probe, const void *ctx)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        reg.add(statName(group, fields[i].name), fields[i].kind, probe,
+                ctx, i);
+}
 
 /** Sample domain: what the boundary coordinate t counts. */
 enum class SeriesDomain : std::uint8_t

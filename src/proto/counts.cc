@@ -3,46 +3,11 @@
 namespace dir2b
 {
 
-// Single source of truth for the field list; keeps the arithmetic and
-// the stat names in sync by construction.
-#define DIR2B_COUNT_FIELDS(X)                                               \
-    X(reads)                                                                \
-    X(writes)                                                               \
-    X(readHits)                                                             \
-    X(readMisses)                                                           \
-    X(writeHits)                                                            \
-    X(writeMisses)                                                          \
-    X(writeHitsClean)                                                       \
-    X(requests)                                                             \
-    X(mrequests)                                                            \
-    X(ejects)                                                               \
-    X(setstates)                                                            \
-    X(broadcasts)                                                           \
-    X(broadcastCmds)                                                        \
-    X(uselessCmds)                                                          \
-    X(directedCmds)                                                         \
-    X(invalidations)                                                        \
-    X(purges)                                                               \
-    X(writebacks)                                                           \
-    X(memReads)                                                             \
-    X(memWrites)                                                            \
-    X(cacheTransfers)                                                       \
-    X(dataTransfers)                                                        \
-    X(wordWrites)                                                           \
-    X(stolenCycles)                                                         \
-    X(snoopChecks)                                                          \
-    X(filteredCmds)                                                         \
-    X(dirUpdates)                                                           \
-    X(dirSearches)                                                          \
-    X(tbHits)                                                               \
-    X(tbMisses)                                                             \
-    X(netMessages)
-
 AccessCounts &
 AccessCounts::operator+=(const AccessCounts &o)
 {
-#define X(f) f += o.f;
-    DIR2B_COUNT_FIELDS(X)
+#define X(f, kind, desc) f += o.f;
+    DIR2B_ACCESS_COUNTS(X)
 #undef X
     return *this;
 }
@@ -51,8 +16,8 @@ AccessCounts
 AccessCounts::operator-(const AccessCounts &o) const
 {
     AccessCounts r = *this;
-#define X(f) r.f -= o.f;
-    DIR2B_COUNT_FIELDS(X)
+#define X(f, kind, desc) r.f -= o.f;
+    DIR2B_ACCESS_COUNTS(X)
 #undef X
     return r;
 }
@@ -62,11 +27,8 @@ AccessCounts::forEachField(
     const AccessCounts &c,
     const std::function<void(const char *, std::uint64_t)> &fn)
 {
-#define X(f) fn(#f, c.f);
-    DIR2B_COUNT_FIELDS(X)
-#undef X
+    for (const auto &f : accessCountFields)
+        fn(f.name, c.*f.member);
 }
-
-#undef DIR2B_COUNT_FIELDS
 
 } // namespace dir2b

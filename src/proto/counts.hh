@@ -24,56 +24,61 @@
 #include <functional>
 #include <string>
 
+#include "sim/stats.hh"
+
 namespace dir2b
 {
+
+/**
+ * The AccessCounts field list: member, kind, description, in the
+ * order of the struct (and of the sweep JSON, the series and the
+ * perfbench digests).  Adding a counter is one line here.
+ */
+#define DIR2B_ACCESS_COUNTS(X)                                              \
+    /* Reference classification. */                                        \
+    X(reads, Counter, "processor reads")                                    \
+    X(writes, Counter, "processor writes")                                  \
+    X(readHits, Counter, "reads that hit")                                  \
+    X(readMisses, Counter, "reads that missed")                             \
+    X(writeHits, Counter, "writes that hit")                                \
+    X(writeMisses, Counter, "writes that missed")                           \
+    X(writeHitsClean, Counter, "write hits on clean lines (3.2.4)")         \
+    /* Coherence transactions. */                                           \
+    X(requests, Counter, "REQUEST commands issued")                         \
+    X(mrequests, Counter, "MREQUEST commands issued")                       \
+    X(ejects, Counter, "EJECT notifications issued")                        \
+    X(setstates, Counter, "directory SETSTATE operations")                  \
+    /* Commands reaching caches. */                                         \
+    X(broadcasts, Counter, "broadcast operations")                          \
+    X(broadcastCmds, Counter, "deliveries of those broadcasts")             \
+    X(uselessCmds, Counter, "deliveries that found no copy")                \
+    X(directedCmds, Counter, "full-map style directed commands")            \
+    X(invalidations, Counter, "cache copies invalidated")                   \
+    X(purges, Counter, "owner downgrades/flushes")                          \
+    /* Data movement. */                                                    \
+    X(writebacks, Counter, "dirty data returned to memory")                 \
+    X(memReads, Counter, "block fetches from memory")                       \
+    X(memWrites, Counter, "block writes to memory")                         \
+    X(cacheTransfers, Counter, "cache-to-cache supplies")                   \
+    X(dataTransfers, Counter, "all get/put block movements")                \
+    X(wordWrites, Counter, "write-through word traffic")                    \
+    /* Overheads at caches. */                                              \
+    X(stolenCycles, Counter, "cache cycles taken by remote commands")       \
+    X(snoopChecks, Counter, "bus-scheme per-miss tag checks")               \
+    X(filteredCmds, Counter, "absorbed by BIAS/snoop filters")              \
+    /* Scheme-specific bookkeeping. */                                      \
+    X(dirUpdates, Counter, "Tang central-copy update messages")             \
+    X(dirSearches, Counter, "Tang per-request directory scans")             \
+    X(tbHits, Counter, "translation-buffer hits (4.4)")                     \
+    X(tbMisses, Counter, "translation-buffer misses")                       \
+    X(netMessages, Counter, "total point-to-point deliveries")
 
 /** Event counters accumulated over a run (or a single access delta). */
 struct AccessCounts
 {
-    // Reference classification.
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t readHits = 0;
-    std::uint64_t readMisses = 0;
-    std::uint64_t writeHits = 0;
-    std::uint64_t writeMisses = 0;
-    /** Write hits on clean lines (the paper's §3.2.4 situation). */
-    std::uint64_t writeHitsClean = 0;
-
-    // Coherence transactions.
-    std::uint64_t requests = 0;    ///< REQUEST commands issued
-    std::uint64_t mrequests = 0;   ///< MREQUEST commands issued
-    std::uint64_t ejects = 0;      ///< EJECT notifications issued
-    std::uint64_t setstates = 0;   ///< directory SETSTATE operations
-
-    // Commands reaching caches.
-    std::uint64_t broadcasts = 0;     ///< broadcast operations
-    std::uint64_t broadcastCmds = 0;  ///< deliveries of those broadcasts
-    std::uint64_t uselessCmds = 0;    ///< deliveries that found no copy
-    std::uint64_t directedCmds = 0;   ///< full-map style directed cmds
-    std::uint64_t invalidations = 0;  ///< cache copies invalidated
-    std::uint64_t purges = 0;         ///< owner downgrades/flushes
-
-    // Data movement.
-    std::uint64_t writebacks = 0;      ///< dirty data returned to memory
-    std::uint64_t memReads = 0;        ///< block fetches from memory
-    std::uint64_t memWrites = 0;       ///< block writes to memory
-    std::uint64_t cacheTransfers = 0;  ///< cache-to-cache supplies
-    std::uint64_t dataTransfers = 0;   ///< all get/put block movements
-    std::uint64_t wordWrites = 0;      ///< write-through word traffic
-
-    // Overheads at caches.
-    std::uint64_t stolenCycles = 0;  ///< cache cycles taken by remote cmds
-    std::uint64_t snoopChecks = 0;   ///< bus-scheme per-miss tag checks
-    std::uint64_t filteredCmds = 0;  ///< absorbed by BIAS/snoop filters
-
-    // Scheme-specific bookkeeping.
-    std::uint64_t dirUpdates = 0;   ///< Tang central-copy update msgs
-    std::uint64_t dirSearches = 0;  ///< Tang per-request directory scans
-    std::uint64_t tbHits = 0;       ///< translation-buffer hits (§4.4)
-    std::uint64_t tbMisses = 0;     ///< translation-buffer misses
-
-    std::uint64_t netMessages = 0;  ///< total point-to-point deliveries
+#define X(m, kind, desc) std::uint64_t m = 0;
+    DIR2B_ACCESS_COUNTS(X)
+#undef X
 
     /** Total references. */
     std::uint64_t refs() const { return reads + writes; }
@@ -99,12 +104,20 @@ struct AccessCounts
     AccessCounts operator-(const AccessCounts &o) const;
 
     /**
-     * Visit every field with its name (for uniform stat dumps).
+     * Visit every field with its name, in list order.
      * The visitor receives (name, value).
      */
     static void forEachField(
         const AccessCounts &c,
         const std::function<void(const char *, std::uint64_t)> &fn);
+};
+
+/** The AccessCounts field list as data. */
+inline constexpr StatField<AccessCounts, std::uint64_t>
+    accessCountFields[] = {
+#define X(m, kind, desc) {&AccessCounts::m, #m, desc, MetricKind::kind},
+        DIR2B_ACCESS_COUNTS(X)
+#undef X
 };
 
 } // namespace dir2b

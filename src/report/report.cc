@@ -70,21 +70,9 @@ histogramSummaryJson(const Histogram &h)
 Json
 dirStoreJson(const DirStoreCounters &c)
 {
-    auto u = [](std::uint64_t v) {
-        return static_cast<unsigned long long>(v);
-    };
     Json j = Json::object();
-    j.set("ramBudgetBytes", u(c.ramBudgetBytes));
-    j.set("residentBytes", u(c.residentBytes));
-    j.set("compressedBytes", u(c.compressedBytes));
-    j.set("segmentBytes", u(c.segmentBytes));
-    j.set("hotPages", u(c.hotPages));
-    j.set("coldPages", u(c.coldPages));
-    j.set("diskPages", u(c.diskPages));
-    j.set("compressions", u(c.compressions));
-    j.set("decompressions", u(c.decompressions));
-    j.set("diskPageWrites", u(c.diskPageWrites));
-    j.set("diskPageReads", u(c.diskPageReads));
+    for (const auto &f : dirStoreFields)
+        j.set(f.name, static_cast<unsigned long long>(c.*f.member));
     return j;
 }
 

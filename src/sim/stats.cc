@@ -75,50 +75,50 @@ Histogram::reset()
     max_ = 0;
 }
 
-void
-StatGroup::addCounter(std::string name, const Counter *c, std::string desc)
+std::string
+statName(std::string_view group, std::string_view member)
 {
-    entries_.push_back(
-        Entry{Kind::Count, std::move(name), std::move(desc), c});
-}
-
-void
-StatGroup::addHistogram(std::string name, const Histogram *h,
-                        std::string desc)
-{
-    entries_.push_back(
-        Entry{Kind::Hist, std::move(name), std::move(desc), h});
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    auto line = [&](const std::string &stat, const std::string &value,
-                    const std::string &desc) {
-        os << std::left << std::setw(40) << (name_ + "." + stat) << " "
-           << std::right << std::setw(16) << value;
-        if (!desc.empty())
-            os << "  # " << desc;
-        os << "\n";
-    };
-
-    for (const auto &e : entries_) {
-        switch (e.kind) {
-          case Kind::Count: {
-            const auto *c = static_cast<const Counter *>(e.ptr);
-            line(e.name, std::to_string(c->value()), e.desc);
-            break;
-          }
-          case Kind::Hist: {
-            const auto *h = static_cast<const Histogram *>(e.ptr);
-            std::ostringstream v;
-            v << std::fixed << std::setprecision(2) << h->mean() << " ["
-              << h->min() << "," << h->max() << "]";
-            line(e.name, v.str(), e.desc);
-            break;
-          }
+    std::string out(group);
+    out += '.';
+    for (const char ch : member) {
+        if (ch >= 'A' && ch <= 'Z') {
+            out += '_';
+            out += static_cast<char>(ch - 'A' + 'a');
+        } else {
+            out += ch;
         }
     }
+    return out;
+}
+
+namespace
+{
+
+void
+dumpLine(std::ostream &os, const std::string &name,
+         const std::string &value, const char *desc)
+{
+    os << std::left << std::setw(40) << name << " " << std::right
+       << std::setw(16) << value << "  # " << desc << "\n";
+}
+
+} // namespace
+
+void
+dumpStat(std::ostream &os, const std::string &name, const Counter &c,
+         const char *desc)
+{
+    dumpLine(os, name, std::to_string(c.value()), desc);
+}
+
+void
+dumpStat(std::ostream &os, const std::string &name, const Histogram &h,
+         const char *desc)
+{
+    std::ostringstream v;
+    v << std::fixed << std::setprecision(2) << h.mean() << " ["
+      << h.min() << "," << h.max() << "]";
+    dumpLine(os, name, v.str(), desc);
 }
 
 } // namespace dir2b

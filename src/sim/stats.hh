@@ -2,12 +2,17 @@
  * @file
  * Statistics framework.
  *
- * Components register named statistics in a StatGroup; experiments dump
- * groups in a uniform "name value [description]" format.  Two
- * primitives cover everything dir2b measures:
+ * Two primitives cover everything dir2b measures:
  *
  *  - Counter:   monotonically increasing event count;
  *  - Histogram: fixed-width bucket distribution with min/max/mean.
+ *
+ * Each stats struct declares its members from one field list (an
+ * X-macro of member, kind and description) and exports the same list
+ * as an array of StatField.  The stats dump, the telemetry series and
+ * the JSON writers walk those arrays, so a statistic is declared in
+ * exactly one line and every surface names it by one rule
+ * (statName).
  */
 
 #ifndef DIR2B_SIM_STATS_HH
@@ -16,6 +21,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dir2b
@@ -82,34 +88,49 @@ class Histogram
     std::uint64_t max_ = 0;
 };
 
-/** A named collection of statistics that can render itself. */
-class StatGroup
+/** How a statistic's values relate over time. */
+enum class MetricKind : std::uint8_t
 {
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void addCounter(std::string name, const Counter *c,
-                    std::string desc = "");
-    void addHistogram(std::string name, const Histogram *h,
-                      std::string desc = "");
-
-    /** Write "group.stat value # desc" lines. */
-    void dump(std::ostream &os) const;
-
-  private:
-    enum class Kind { Count, Hist };
-
-    struct Entry
-    {
-        Kind kind;
-        std::string name;
-        std::string desc;
-        const void *ptr;
-    };
-
-    std::string name_;
-    std::vector<Entry> entries_;
+    Counter, ///< monotonically non-decreasing (rates = deltas)
+    Gauge,   ///< instantaneous level (queue depth, resident bytes)
 };
+
+/**
+ * One entry of a stats struct's field list: the member, its name as
+ * spelled in the source, a description and (for scalar statistics)
+ * its kind.  Histogram lists leave the kind at its default; only the
+ * series reads it, and the series samples scalars only.
+ */
+template <class S, class V>
+struct StatField
+{
+    V S::*member;
+    const char *name;
+    const char *desc;
+    MetricKind kind = MetricKind::Counter;
+};
+
+/** "group." plus the snake_case of a member name, the name of every
+ *  dumped and sampled statistic ("cache", "readHits" ->
+ *  "cache.read_hits"). */
+std::string statName(std::string_view group, std::string_view member);
+
+/** Write one "group.stat  value  # desc" line of the stats dump;
+ *  a histogram's value is "mean [min,max]". */
+void dumpStat(std::ostream &os, const std::string &name,
+              const Counter &c, const char *desc);
+void dumpStat(std::ostream &os, const std::string &name,
+              const Histogram &h, const char *desc);
+
+/** Dump every field of `stats` listed in `fields` under `group`. */
+template <class S, class V, std::size_t N>
+void
+dumpFields(std::ostream &os, std::string_view group, const S &stats,
+           const StatField<S, V> (&fields)[N])
+{
+    for (const auto &f : fields)
+        dumpStat(os, statName(group, f.name), stats.*f.member, f.desc);
+}
 
 } // namespace dir2b
 

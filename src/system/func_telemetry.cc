@@ -6,105 +6,26 @@
 namespace dir2b
 {
 
-namespace
-{
-
-const Protocol &
-proto(const void *ctx)
-{
-    return *static_cast<const Protocol *>(ctx);
-}
-
-} // namespace
-
 void
 registerFunctionalMetrics(MetricRegistry &reg, const Protocol &p)
 {
-    const AccessCounts &c = p.counts();
-    const auto counter = MetricKind::Counter;
-    const auto gauge = MetricKind::Gauge;
-
     // Progress coordinate (also the sample domain, but having it as a
     // metric keeps series self-describing and rate tools uniform).
-    reg.add("refs.completed", counter,
-            +[](const void *ctx) { return proto(ctx).counts().refs(); },
+    reg.add("refs.completed", MetricKind::Counter,
+            +[](const void *ctx, std::size_t) {
+                return static_cast<const Protocol *>(ctx)->counts().refs();
+            },
             &p);
 
-    // Reference classification.
-    reg.add("counts.reads", counter, &c.reads);
-    reg.add("counts.writes", counter, &c.writes);
-    reg.add("counts.read_hits", counter, &c.readHits);
-    reg.add("counts.read_misses", counter, &c.readMisses);
-    reg.add("counts.write_hits", counter, &c.writeHits);
-    reg.add("counts.write_misses", counter, &c.writeMisses);
-    reg.add("counts.write_hits_clean", counter, &c.writeHitsClean);
-
-    // Coherence transactions.
-    reg.add("counts.requests", counter, &c.requests);
-    reg.add("counts.mrequests", counter, &c.mrequests);
-    reg.add("counts.ejects", counter, &c.ejects);
-    reg.add("counts.setstates", counter, &c.setstates);
-
-    // Commands reaching caches.  useless_cmds over refs is the §4.2
-    // useless-command rate, now time-resolved.
-    reg.add("counts.broadcasts", counter, &c.broadcasts);
-    reg.add("counts.broadcast_cmds", counter, &c.broadcastCmds);
-    reg.add("counts.useless_cmds", counter, &c.uselessCmds);
-    reg.add("counts.directed_cmds", counter, &c.directedCmds);
-    reg.add("counts.invalidations", counter, &c.invalidations);
-    reg.add("counts.purges", counter, &c.purges);
-
-    // Data movement and cache-side overheads.
-    reg.add("counts.writebacks", counter, &c.writebacks);
-    reg.add("counts.mem_reads", counter, &c.memReads);
-    reg.add("counts.mem_writes", counter, &c.memWrites);
-    reg.add("counts.cache_transfers", counter, &c.cacheTransfers);
-    reg.add("counts.data_transfers", counter, &c.dataTransfers);
-    reg.add("counts.stolen_cycles", counter, &c.stolenCycles);
-    reg.add("counts.filtered_cmds", counter, &c.filteredCmds);
-    reg.add("counts.net_messages", counter, &c.netMessages);
+    // counts.useless_cmds over refs is the §4.2 useless-command rate,
+    // time-resolved.
+    const AccessCounts &c = p.counts();
+    for (const auto &f : accessCountFields)
+        reg.add(statName("counts", f.name), f.kind, &(c.*f.member));
 
     // Tiered directory storage (all-zero for protocols without one).
-    reg.add("dirstore.resident_bytes", gauge,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().residentBytes;
-            },
-            &p);
-    reg.add("dirstore.compressed_bytes", gauge,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().compressedBytes;
-            },
-            &p);
-    reg.add("dirstore.segment_bytes", gauge,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().segmentBytes;
-            },
-            &p);
-    reg.add("dirstore.hot_pages", gauge,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().hotPages;
-            },
-            &p);
-    reg.add("dirstore.cold_pages", gauge,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().coldPages;
-            },
-            &p);
-    reg.add("dirstore.disk_pages", gauge,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().diskPages;
-            },
-            &p);
-    reg.add("dirstore.compressions", counter,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().compressions;
-            },
-            &p);
-    reg.add("dirstore.decompressions", counter,
-            +[](const void *ctx) {
-                return proto(ctx).dirStoreCounters().decompressions;
-            },
-            &p);
+    addStatFields(reg, "dirstore", dirStoreFields,
+                  &dirStoreField<Protocol>, &p);
 }
 
 } // namespace dir2b

@@ -5,8 +5,9 @@
  * The functional tier's statistics all live in one place — the
  * protocol's cumulative AccessCounts (plain uint64 fields, stable for
  * the protocol's lifetime) plus the tiered directory-storage counters
- * of the two-bit schemes — so registration is a flat list of word
- * sources plus a handful of probes.  The sample domain is completed
+ * of the two-bit schemes — so registration walks their two field
+ * lists: a word source per AccessCounts field, a probe per
+ * DirStoreCounters field.  The sample domain is completed
  * references (RunOptions::sampler flushes after every reference), so
  * a boundary at N refs snapshots the counts after exactly the first
  * N references, batched or scalar frontend alike.

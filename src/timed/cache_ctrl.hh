@@ -34,24 +34,53 @@
 namespace dir2b
 {
 
+/**
+ * The CacheCtrlStats field lists: counters (member, kind, description)
+ * and histograms (member, bucket width, buckets, description).  The
+ * stats dump and the timed series walk them; adding a counter is one
+ * line here.
+ */
+#define DIR2B_CACHE_CTRL_COUNTERS(X)                                        \
+    X(readHits, Counter, "reads that hit")                                  \
+    X(writeHits, Counter, "writes that hit")                                \
+    X(readMisses, Counter, "reads that missed")                             \
+    X(writeMisses, Counter, "writes that missed")                           \
+    X(mrequests, Counter, "MREQUESTs sent for write hits on clean lines")   \
+    X(mrequestConversions, Counter, "BROADINV treated as MGRANTED(false)")  \
+    X(staleGrantsIgnored, Counter, "MGRANTEDs for converted requests")      \
+    X(invalidationsApplied, Counter, "copies invalidated by commands")      \
+    X(queriesAnswered, Counter, "queries answered with a put")             \
+    X(writebacksSent, Counter, "dirty victims ejected with data")           \
+    X(stolenCycles, Counter, "cache cycles taken by remote commands")       \
+    X(filteredCmds, Counter, "absorbed by the duplicate directory")
+
+#define DIR2B_CACHE_CTRL_HISTOGRAMS(X)                                      \
+    X(latency, 1, 64, "request latency, cycles")                            \
+    X(grantWait, 2, 64, "MREQUEST to grant/conversion, cycles")             \
+    X(dataWait, 2, 64, "REQUEST to data arrival, cycles")
+
 /** Per-cache statistics of the timed tier. */
 struct CacheCtrlStats
 {
-    Counter readHits;
-    Counter writeHits;
-    Counter readMisses;
-    Counter writeMisses;
-    Counter mrequests;
-    Counter mrequestConversions; ///< BROADINV treated as MGRANTED(false)
-    Counter staleGrantsIgnored;
-    Counter stolenCycles;  ///< remote commands that cost a cache cycle
-    Counter filteredCmds;  ///< absorbed by the duplicate directory
-    Counter invalidationsApplied;
-    Counter queriesAnswered;
-    Counter writebacksSent;
-    Histogram latency{1, 64};   ///< request latency in cycles
-    Histogram grantWait{2, 64}; ///< MREQUEST -> MGRANTED/conversion
-    Histogram dataWait{2, 64};  ///< REQUEST -> get(data)
+#define X(m, kind, desc) Counter m;
+    DIR2B_CACHE_CTRL_COUNTERS(X)
+#undef X
+#define X(m, width, buckets, desc) Histogram m{width, buckets};
+    DIR2B_CACHE_CTRL_HISTOGRAMS(X)
+#undef X
+};
+
+/** The CacheCtrlStats field lists as data. */
+inline constexpr StatField<CacheCtrlStats, Counter> cacheCtrlCounters[] = {
+#define X(m, kind, desc) {&CacheCtrlStats::m, #m, desc, MetricKind::kind},
+    DIR2B_CACHE_CTRL_COUNTERS(X)
+#undef X
+};
+inline constexpr StatField<CacheCtrlStats, Histogram>
+    cacheCtrlHistograms[] = {
+#define X(m, width, buckets, desc) {&CacheCtrlStats::m, #m, desc},
+        DIR2B_CACHE_CTRL_HISTOGRAMS(X)
+#undef X
 };
 
 /**

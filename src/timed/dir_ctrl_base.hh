@@ -51,27 +51,55 @@ namespace dir2b
 
 class TwoBitDirectory;
 
+/**
+ * The DirCtrlStats field lists: counters (member, kind, description)
+ * and histograms (member, bucket width, buckets, description).  The
+ * stats dump and the timed series walk them; adding a counter is one
+ * line here.
+ */
+#define DIR2B_DIR_CTRL_COUNTERS(X)                                          \
+    X(requests, Counter, "REQUESTs served")                                 \
+    X(mrequests, Counter, "MREQUESTs served")                               \
+    X(ejectsData, Counter, "EJECT(write) write-backs applied")              \
+    X(ejectsIgnored, Counter, "EJECT(read) notifications dropped")          \
+    X(ejectsApplied, Counter, "EJECT(read) presence-bit clears")            \
+    X(broadInvs, Counter, "BROADINV broadcasts (two-bit)")                  \
+    X(broadQueries, Counter, "BROADQUERY broadcasts (two-bit)")             \
+    X(directedInvs, Counter, "INVALIDATE directed sends")                   \
+    X(purges, Counter, "PURGE directed sends")                              \
+    X(grantsTrue, Counter, "MGRANTED(true) replies")                        \
+    X(grantsFalse, Counter, "MGRANTED(false) replies")                      \
+    X(mreqDeleted, Counter, "stale MREQUESTs deleted from the queue")       \
+    X(putsConsumed, Counter, "queued EJECT(write) used as put()")           \
+    X(putsAwaited, Counter, "queries resolved by a later put")
+
+#define DIR2B_DIR_CTRL_HISTOGRAMS(X)                                        \
+    X(queueDepth, 1, 32, "commands queued at each arrival")                 \
+    X(queueWait, 4, 64, "command queue residency, cycles")                  \
+    X(ackWait, 2, 64, "invalidation-ack barrier wait, cycles")              \
+    X(putWait, 4, 64, "query to answering put, cycles")
+
 /** Statistics shared by every timed controller. */
 struct DirCtrlStats
 {
-    Counter requests;
-    Counter mrequests;
-    Counter ejectsData;      ///< EJECT(write) write-backs applied
-    Counter ejectsIgnored;   ///< EJECT(read) notifications dropped
-    Counter ejectsApplied;   ///< EJECT(read) presence-bit clears (fm)
-    Counter broadInvs;       ///< BROADINV broadcasts (two-bit)
-    Counter broadQueries;    ///< BROADQUERY broadcasts (two-bit)
-    Counter directedInvs;    ///< INVALIDATE directed sends (full map)
-    Counter purges;          ///< PURGE directed sends (full map)
-    Counter grantsTrue;
-    Counter grantsFalse;
-    Counter mreqDeleted;     ///< stale MREQUESTs deleted from queue
-    Counter putsConsumed;    ///< queued EJECT(write) used as put()
-    Counter putsAwaited;     ///< queries resolved by a later put
-    Histogram queueDepth{1, 32};
-    Histogram queueWait{4, 64}; ///< cycles a command sat queued
-    Histogram ackWait{2, 64};   ///< invalidation-ack barrier wait
-    Histogram putWait{4, 64};   ///< query -> answering put wait
+#define X(m, kind, desc) Counter m;
+    DIR2B_DIR_CTRL_COUNTERS(X)
+#undef X
+#define X(m, width, buckets, desc) Histogram m{width, buckets};
+    DIR2B_DIR_CTRL_HISTOGRAMS(X)
+#undef X
+};
+
+/** The DirCtrlStats field lists as data. */
+inline constexpr StatField<DirCtrlStats, Counter> dirCtrlCounters[] = {
+#define X(m, kind, desc) {&DirCtrlStats::m, #m, desc, MetricKind::kind},
+    DIR2B_DIR_CTRL_COUNTERS(X)
+#undef X
+};
+inline constexpr StatField<DirCtrlStats, Histogram> dirCtrlHistograms[] = {
+#define X(m, width, buckets, desc) {&DirCtrlStats::m, #m, desc},
+    DIR2B_DIR_CTRL_HISTOGRAMS(X)
+#undef X
 };
 
 /** Abstract timed memory controller. */

@@ -42,7 +42,7 @@ TimedNetwork::claimDeliveryAt(unsigned dst, Tick sentAt)
       case NetKind::Crossbar: {
         const Tick free = portFreeAt_[dst];
         if (free > deliverAt) {
-            portWait_.inc(free - deliverAt);
+            stats_.portWaitCycles.inc(free - deliverAt);
             deliverAt = free;
         }
         portFreeAt_[dst] = deliverAt + 1;
@@ -50,11 +50,11 @@ TimedNetwork::claimDeliveryAt(unsigned dst, Tick sentAt)
       }
       case NetKind::Bus: {
         if (busFreeAt_ > deliverAt) {
-            portWait_.inc(busFreeAt_ - deliverAt);
+            stats_.portWaitCycles.inc(busFreeAt_ - deliverAt);
             deliverAt = busFreeAt_;
         }
         busFreeAt_ = deliverAt + 1;
-        ++busBusy_;
+        ++stats_.busBusyCycles;
         break;
       }
     }
@@ -72,9 +72,9 @@ TimedNetwork::post(unsigned src, unsigned dst, const Message &msg)
 {
     DIR2B_ASSERT(dst < handlers_.size() && handlers_[dst],
                  "send to unconnected endpoint ", dst);
-    ++messages_;
+    ++stats_.messages;
     if (msg.kind == MsgKind::GetData || msg.kind == MsgKind::PutData)
-        ++dataMsgs_;
+        ++stats_.dataMessages;
     DIR2B_TRC(trc_, instant(eq_.now(), trk_, mnemonic(msg.kind),
                             msg.addr, src, dst));
     return claimDeliveryAt(dst, eq_.now());
@@ -98,7 +98,7 @@ void
 TimedNetwork::broadcast(unsigned src, const std::vector<unsigned> &dsts,
                         Message msg)
 {
-    ++broadcasts_;
+    ++stats_.broadcasts;
     msg.broadcast = true;
 
     // A shared medium delivers a broadcast in ONE bus transaction:
@@ -112,7 +112,7 @@ TimedNetwork::broadcast(unsigned src, const std::vector<unsigned> &dsts,
     for (unsigned dst : dsts) {
         DIR2B_ASSERT(dst < handlers_.size() && handlers_[dst],
                      "broadcast to unconnected endpoint ", dst);
-        ++messages_;
+        ++stats_.messages;
         DIR2B_TRC(trc_, instant(eq_.now(), trk_, mnemonic(msg.kind),
                                 msg.addr, src, dst));
         const Tick at = bus ? busAt : claimDeliveryAt(dst, eq_.now());

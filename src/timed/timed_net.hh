@@ -41,6 +41,32 @@
 namespace dir2b
 {
 
+/**
+ * The NetStats field list: member, kind, description.  The stats dump
+ * and the timed series walk it; adding a counter is one line here.
+ */
+#define DIR2B_NET_STATS(X)                                                  \
+    X(messages, Counter, "point-to-point deliveries")                       \
+    X(broadcasts, Counter, "broadcast operations")                          \
+    X(dataMessages, Counter, "messages carrying a block")                   \
+    X(portWaitCycles, Counter, "cycles queued for a busy port or the bus")  \
+    X(busBusyCycles, Counter, "bus occupancy, cycles (bus network only)")
+
+/** Statistics of the timed network. */
+struct NetStats
+{
+#define X(m, kind, desc) Counter m;
+    DIR2B_NET_STATS(X)
+#undef X
+};
+
+/** The NetStats field list as data. */
+inline constexpr StatField<NetStats, Counter> netStatFields[] = {
+#define X(m, kind, desc) {&NetStats::m, #m, desc, MetricKind::kind},
+    DIR2B_NET_STATS(X)
+#undef X
+};
+
 /** Timed network with selectable contention model (NetKind). */
 class TimedNetwork
 {
@@ -77,15 +103,7 @@ class TimedNetwork
     void broadcast(unsigned src, const std::vector<unsigned> &dsts,
                    Message msg);
 
-    std::uint64_t messagesSent() const { return messages_.value(); }
-    std::uint64_t broadcastsSent() const { return broadcasts_.value(); }
-    std::uint64_t dataMessages() const { return dataMsgs_.value(); }
-
-    /** Total cycles messages spent queued for busy ports/the bus. */
-    std::uint64_t portWaitCycles() const { return portWait_.value(); }
-
-    /** Bus occupancy in cycles (Bus kind only). */
-    std::uint64_t busBusyCycles() const { return busBusy_.value(); }
+    const NetStats &stats() const { return stats_; }
 
   private:
     /** One delivery tick's copies of a broadcast (pooled). */
@@ -116,11 +134,7 @@ class TimedNetwork
     GroupHandler onBroadcast_;
     std::vector<Tick> portFreeAt_;
     Tick busFreeAt_ = 0;
-    Counter messages_;
-    Counter broadcasts_;
-    Counter dataMsgs_;
-    Counter portWait_;
-    Counter busBusy_;
+    NetStats stats_;
     std::vector<Group> groups_;
     std::vector<std::uint32_t> freeGroups_;
     /** broadcast()'s (delivery tick, group) pairs. */

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "sim/stats.hh"
-
 #include "timed/dir_ctrl.hh"
 #include "timed/fm_cache_ctrl.hh"
 #include "timed/fm_dir_ctrl.hh"
@@ -146,14 +144,8 @@ TimedSystem::run(const ProcSource &source, std::uint64_t refsPerProc)
     remaining_.assign(cfg_.numProcs, refsPerProc);
 
     TelemetrySampler *sampler = cfg_.sampler;
-    if (sampler) {
-        telemetryView_.caches = &caches_;
-        telemetryView_.dirs = &dirs_;
-        telemetryView_.queue = &eq_;
-        telemetryView_.net = net_.get();
-        telemetryView_.completed = &completed_;
-        registerTimedMetrics(sampler->registry(), telemetryView_);
-    }
+    if (sampler)
+        registerMetrics(sampler->registry());
 
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
         // Stagger the first issues by one tick to avoid an artificial
@@ -246,9 +238,9 @@ TimedSystem::aggregateResult() const
     r.finalTick = eq_.now();
     r.refsCompleted = completed_;
     r.eventsExecuted = eq_.executed();
-    r.netMessages = net_->messagesSent();
-    r.broadcasts = net_->broadcastsSent();
-    r.netWaitCycles = net_->portWaitCycles();
+    r.netMessages = net_->stats().messages.value();
+    r.broadcasts = net_->stats().broadcasts.value();
+    r.netWaitCycles = net_->stats().portWaitCycles.value();
     r.readsChecked = oracle_.readsChecked();
     r.writesRecorded = oracle_.writesRecorded();
 
@@ -271,9 +263,8 @@ TimedSystem::aggregateResult() const
         r.putsConsumed += s.putsConsumed.value();
         r.putsAwaited += s.putsAwaited.value();
         r.grantsFalse += s.grantsFalse.value();
-        if (const TwoBitDirectory *dir = dc->twoBitDir())
-            r.dirStore.add(*dir);
     }
+    r.dirStore = dirStoreCounters();
     const Histogram lat = mergedCacheHistogram(&CacheCtrlStats::latency);
     r.latencyP50 = lat.p50();
     r.latencyP95 = lat.p95();
@@ -281,64 +272,107 @@ TimedSystem::aggregateResult() const
     return r;
 }
 
+DirStoreCounters
+TimedSystem::dirStoreCounters() const
+{
+    DirStoreCounters c;
+    for (const auto &d : dirs_)
+        if (const TwoBitDirectory *tb = d->twoBitDir())
+            c.add(*tb);
+    return c;
+}
+
 void
 TimedSystem::dumpStats(std::ostream &os) const
 {
-    for (ProcId p = 0; p < static_cast<ProcId>(caches_.size());
-         ++p) {
-        const CacheCtrlStats &s = caches_[p]->stats();
-        StatGroup g("cache" + std::to_string(p));
-        g.addCounter("read_hits", &s.readHits);
-        g.addCounter("write_hits", &s.writeHits);
-        g.addCounter("read_misses", &s.readMisses);
-        g.addCounter("write_misses", &s.writeMisses);
-        g.addCounter("mrequests", &s.mrequests);
-        g.addCounter("mreq_conversions", &s.mrequestConversions,
-                     "BROADINV treated as MGRANTED(false)");
-        g.addCounter("stale_grants_ignored", &s.staleGrantsIgnored);
-        g.addCounter("stolen_cycles", &s.stolenCycles,
-                     "cache cycles taken by remote commands");
-        g.addCounter("filtered_cmds", &s.filteredCmds,
-                     "absorbed by the duplicate directory");
-        g.addCounter("invalidations", &s.invalidationsApplied);
-        g.addCounter("queries_answered", &s.queriesAnswered);
-        g.addCounter("writebacks", &s.writebacksSent);
-        g.addHistogram("latency", &s.latency,
-                       "request latency, cycles");
-        g.addHistogram("grant_wait", &s.grantWait,
-                       "MREQUEST to grant/conversion, cycles");
-        g.addHistogram("data_wait", &s.dataWait,
-                       "REQUEST to data arrival, cycles");
-        g.dump(os);
+    for (std::size_t p = 0; p < caches_.size(); ++p) {
+        const std::string g = "cache" + std::to_string(p);
+        dumpFields(os, g, caches_[p]->stats(), cacheCtrlCounters);
+        dumpFields(os, g, caches_[p]->stats(), cacheCtrlHistograms);
     }
-    for (ModuleId m = 0; m < static_cast<ModuleId>(dirs_.size());
-         ++m) {
-        const DirCtrlStats &s = dirs_[m]->stats();
-        StatGroup g("ctrl" + std::to_string(m));
-        g.addCounter("requests", &s.requests);
-        g.addCounter("mrequests", &s.mrequests);
-        g.addCounter("ejects_data", &s.ejectsData);
-        g.addCounter("ejects_ignored", &s.ejectsIgnored);
-        g.addCounter("broad_invs", &s.broadInvs);
-        g.addCounter("broad_queries", &s.broadQueries);
-        g.addCounter("directed_invs", &s.directedInvs);
-        g.addCounter("purges", &s.purges);
-        g.addCounter("grants_true", &s.grantsTrue);
-        g.addCounter("grants_false", &s.grantsFalse);
-        g.addCounter("mreq_deleted", &s.mreqDeleted,
-                     "stale MREQUESTs deleted from the queue");
-        g.addCounter("puts_consumed", &s.putsConsumed,
-                     "queued EJECT(write) used as put()");
-        g.addCounter("puts_awaited", &s.putsAwaited);
-        g.addHistogram("queue_depth", &s.queueDepth);
-        g.addHistogram("queue_wait", &s.queueWait,
-                       "command queue residency, cycles");
-        g.addHistogram("ack_wait", &s.ackWait,
-                       "invalidation-ack barrier wait, cycles");
-        g.addHistogram("put_wait", &s.putWait,
-                       "query to answering put, cycles");
-        g.dump(os);
+    for (std::size_t m = 0; m < dirs_.size(); ++m) {
+        const std::string g = "ctrl" + std::to_string(m);
+        dumpFields(os, g, dirs_[m]->stats(), dirCtrlCounters);
+        dumpFields(os, g, dirs_[m]->stats(), dirCtrlHistograms);
     }
+    dumpFields(os, "net", net_->stats(), netStatFields);
+}
+
+namespace
+{
+
+const TimedSystem &
+sys(const void *ctx)
+{
+    return *static_cast<const TimedSystem *>(ctx);
+}
+
+/** Field `f` of a counter list summed over components (anything
+ *  whose elements point at an object with stats()). */
+template <class Components, class Fields>
+std::uint64_t
+sumField(const Components &components, const Fields &fields,
+         std::size_t f)
+{
+    std::uint64_t s = 0;
+    for (const auto &c : components)
+        s += (c->stats().*fields[f].member).value();
+    return s;
+}
+
+} // namespace
+
+void
+TimedSystem::registerMetrics(MetricRegistry &reg) const
+{
+    const auto counter = MetricKind::Counter;
+    const auto gauge = MetricKind::Gauge;
+
+    // Progress: completed references (ProgressMeter reads this name).
+    reg.add("refs.completed", counter,
+            +[](const void *c, std::size_t) { return sys(c).completed_; },
+            this);
+    reg.add("kernel.executed", counter,
+            +[](const void *c, std::size_t) {
+                return sys(c).eq_.executed();
+            },
+            this);
+    reg.add("kernel.pending", gauge,
+            +[](const void *c, std::size_t) {
+                return std::uint64_t{sys(c).eq_.pending()};
+            },
+            this);
+
+    addStatFields(reg, "net", netStatFields,
+                  +[](const void *c, std::size_t f) {
+                      return (sys(c).net_->stats().*
+                              netStatFields[f].member)
+                          .value();
+                  },
+                  this);
+    addStatFields(reg, "cache", cacheCtrlCounters,
+                  +[](const void *c, std::size_t f) {
+                      return sumField(sys(c).caches_, cacheCtrlCounters,
+                                      f);
+                  },
+                  this);
+    // dir.grants_false is the §4.2 useless-command numerator:
+    // MGRANTED(false) round trips that did no sharing work.
+    addStatFields(reg, "dir", dirCtrlCounters,
+                  +[](const void *c, std::size_t f) {
+                      return sumField(sys(c).dirs_, dirCtrlCounters, f);
+                  },
+                  this);
+    reg.add("dir.queue_depth", gauge,
+            +[](const void *c, std::size_t) {
+                std::uint64_t s = 0;
+                for (const auto &d : sys(c).dirs_)
+                    s += d->queueDepth();
+                return s;
+            },
+            this);
+    addStatFields(reg, "dirstore", dirStoreFields,
+                  &dirStoreField<TimedSystem>, this);
 }
 
 } // namespace dir2b

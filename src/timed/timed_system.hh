@@ -28,11 +28,12 @@
 #include "timed/timed_config.hh"
 #include "timed/timed_net.hh"
 #include "timed/timed_oracle.hh"
-#include "timed/timed_telemetry.hh"
 #include "trace/reference.hh"
 
 namespace dir2b
 {
+
+class MetricRegistry;
 
 /**
  * Per-processor reference source: returns the next reference for
@@ -122,10 +123,15 @@ class TimedSystem : private CompletionSink
         return out;
     }
 
+    /** Tiered directory-storage counters summed over the
+     *  controllers (zeros for schemes without the tiered 2-bit map). */
+    DirStoreCounters dirStoreCounters() const;
+
     /**
      * Dump every component's statistics in the gem5-style
-     * "group.stat value # description" format (caches, controllers,
-     * network), via the StatGroup framework.
+     * "group.stat value # description" format: caches (cacheP),
+     * controllers (ctrlM) and the network (net), one line per entry
+     * of their field lists.
      */
     void dumpStats(std::ostream &os) const;
 
@@ -153,6 +159,14 @@ class TimedSystem : private CompletionSink
     /** Fold per-component statistics into a TimedRunResult. */
     TimedRunResult aggregateResult() const;
 
+    /**
+     * Register the timed metric set (docs/METRICS.md) for the
+     * sampler: progress, the event kernel, then every network, cache
+     * and controller counter (summed over components), the
+     * controllers' queue depth and the directory-store counters.
+     */
+    void registerMetrics(MetricRegistry &reg) const;
+
     TimedConfig cfg_;
     EventQueue eq_;
     std::unique_ptr<TimedNetwork> net_;
@@ -165,8 +179,6 @@ class TimedSystem : private CompletionSink
     ProcSource source_;
     std::vector<std::uint64_t> remaining_;
     std::uint64_t completed_ = 0;
-    /** Probe context for cfg_.sampler (lives as long as the run). */
-    TimedTelemetryView telemetryView_;
 };
 
 } // namespace dir2b

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "sim/stats.hh"
 
@@ -211,26 +211,14 @@ TEST(Histogram, ResetClears)
     EXPECT_EQ(h.bucket(3), 0u);
 }
 
-TEST(StatGroup, DumpsAllKinds)
+TEST(StatName, SnakeCasesTheMemberUnderItsGroup)
 {
-    Counter c;
-    c.inc(5);
-    Histogram h(1, 4);
-    h.sample(2);
-    h.sample(3);
-
-    StatGroup g("cache0");
-    g.addCounter("hits", &c, "demand hits");
-    g.addHistogram("burst", &h);
-
-    std::ostringstream os;
-    g.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("cache0.hits"), std::string::npos);
-    EXPECT_NE(out.find("5"), std::string::npos);
-    EXPECT_NE(out.find("demand hits"), std::string::npos);
-    EXPECT_NE(out.find("cache0.burst"), std::string::npos);
-    EXPECT_NE(out.find("2.50 [2,3]"), std::string::npos);
+    EXPECT_EQ(statName("cache", "readHits"), "cache.read_hits");
+    EXPECT_EQ(statName("cache3", "mrequestConversions"),
+              "cache3.mrequest_conversions");
+    EXPECT_EQ(statName("counts", "reads"), "counts.reads");
+    EXPECT_EQ(statName("dirstore", "ramBudgetBytes"),
+              "dirstore.ram_budget_bytes");
 }
 
 } // namespace

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <iomanip>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "timed/timed_oracle.hh"
@@ -239,8 +243,8 @@ TEST(TimedSystem, SnoopFilterSplitsEachCachesCommandsExactly)
         absorbed += b.filteredCmds.value();
     }
     EXPECT_GT(absorbed, 0u);
-    EXPECT_EQ(plain->network().messagesSent(),
-              filtered->network().messagesSent());
+    EXPECT_EQ(plain->network().stats().messages.value(),
+              filtered->network().stats().messages.value());
 }
 
 struct TimedParam
@@ -414,6 +418,88 @@ TEST(TimedSystem, StatsDumpCoversEveryComponent)
           "cache2.latency", "ctrl0.requests", "ctrl1.broad_invs",
           "ctrl0.queue_depth"}) {
         EXPECT_NE(out.find(want), std::string::npos) << want;
+    }
+}
+
+// The dump walks the components' field lists: on every timed
+// protocol each listed counter and histogram appears exactly once per
+// component, under "group." plus its snake_case name, with the
+// component's current value; histograms read "mean [min,max]".
+TEST(TimedSystem, DumpListsEveryStatOncePerComponent)
+{
+    for (TimedProto proto : {TimedProto::TwoBit, TimedProto::FullMap,
+                             TimedProto::YenFu}) {
+        TimedConfig cfg = config(3);
+        cfg.protocol = proto;
+        TimedSystem sys(cfg);
+        SyntheticConfig scfg;
+        scfg.numProcs = 3;
+        scfg.q = 0.3;
+        scfg.w = 0.4;
+        scfg.seed = 5;
+        SyntheticStream stream(scfg);
+        sys.run(
+            [&stream](ProcId p) -> std::optional<MemRef> {
+                return stream.nextFor(p);
+            },
+            400);
+
+        std::ostringstream os;
+        sys.dumpStats(os);
+        std::map<std::string, std::string> values;
+        std::istringstream in(os.str());
+        std::size_t lines = 0;
+        for (std::string line; std::getline(in, line); ++lines) {
+            const std::size_t nameEnd = line.find(' ');
+            const std::size_t descAt = line.find("  # ");
+            ASSERT_NE(descAt, std::string::npos) << line;
+            const std::string name = line.substr(0, nameEnd);
+            std::string value = line.substr(nameEnd, descAt - nameEnd);
+            value.erase(0, value.find_first_not_of(' '));
+            EXPECT_TRUE(values.emplace(name, value).second)
+                << "dumped twice: " << name;
+        }
+
+        auto counters = [&](const std::string &group, const auto &stats,
+                            const auto &fields) {
+            for (const auto &f : fields)
+                EXPECT_EQ(values[statName(group, f.name)],
+                          std::to_string((stats.*f.member).value()))
+                    << statName(group, f.name);
+        };
+        auto histograms = [&](const std::string &group,
+                              const auto &stats, const auto &fields) {
+            for (const auto &f : fields) {
+                const Histogram &h = stats.*f.member;
+                std::ostringstream want;
+                want << std::fixed << std::setprecision(2) << h.mean()
+                     << " [" << h.min() << "," << h.max() << "]";
+                EXPECT_EQ(values[statName(group, f.name)], want.str())
+                    << statName(group, f.name);
+            }
+        };
+        for (ProcId p = 0; p < 3; ++p) {
+            const std::string g = "cache" + std::to_string(p);
+            counters(g, sys.cacheCtrl(p).stats(), cacheCtrlCounters);
+            histograms(g, sys.cacheCtrl(p).stats(), cacheCtrlHistograms);
+        }
+        for (ModuleId m = 0; m < 2; ++m) {
+            const std::string g = "ctrl" + std::to_string(m);
+            counters(g, sys.dirCtrl(m).stats(), dirCtrlCounters);
+            histograms(g, sys.dirCtrl(m).stats(), dirCtrlHistograms);
+        }
+        counters("net", sys.network().stats(), netStatFields);
+        EXPECT_EQ(lines, 3 * (std::size(cacheCtrlCounters) +
+                              std::size(cacheCtrlHistograms)) +
+                             2 * (std::size(dirCtrlCounters) +
+                                  std::size(dirCtrlHistograms)) +
+                             std::size(netStatFields));
+
+        // The naming rule, spelled out once.
+        EXPECT_NE(values["cache2.mrequest_conversions"], "");
+        EXPECT_NE(values["ctrl1.puts_awaited"], "");
+        EXPECT_NE(values["net.port_wait_cycles"], "");
+        EXPECT_NE(values["net.messages"], "0");
     }
 }
 

@@ -38,7 +38,7 @@ TEST(TimedNetwork, DeliversAfterLatency)
     net.send(0, 1, msg(MsgKind::Request, 1));
     eq.run();
     EXPECT_EQ(deliveredAt, 7u);
-    EXPECT_EQ(net.messagesSent(), 1u);
+    EXPECT_EQ(net.stats().messages.value(), 1u);
 }
 
 TEST(TimedNetwork, FifoPerSourceDestinationPair)
@@ -95,7 +95,7 @@ TEST(TimedNetwork, FifoHoldsUnderPortContention)
             last1 = a;
         }
     }
-    EXPECT_GT(net.portWaitCycles(), 0u);
+    EXPECT_GT(net.stats().portWaitCycles.value(), 0u);
 }
 
 /** Connect endpoints 0..n-1 to nothing and collect broadcast groups
@@ -139,8 +139,8 @@ TEST(TimedNetwork, BroadcastFansOutToAllListed)
     EXPECT_TRUE(log.groups[0].last);
     EXPECT_EQ(eq.executed(), 3u);
     EXPECT_EQ(eq.dispatched(), 1u);
-    EXPECT_EQ(net.broadcastsSent(), 1u);
-    EXPECT_EQ(net.messagesSent(), 3u);
+    EXPECT_EQ(net.stats().broadcasts.value(), 1u);
+    EXPECT_EQ(net.stats().messages.value(), 3u);
 }
 
 TEST(TimedNetwork, BusBroadcastIsOneTransaction)
@@ -154,7 +154,7 @@ TEST(TimedNetwork, BusBroadcastIsOneTransaction)
     // Everyone hears the same bus slot.
     ASSERT_EQ(log.groups.size(), 1u);
     EXPECT_EQ(log.groups[0].dsts.size(), 3u);
-    EXPECT_EQ(net.busBusyCycles(), 1u);
+    EXPECT_EQ(net.stats().busBusyCycles.value(), 1u);
 }
 
 // On a crossbar each copy takes its own port's next slot: copies to
@@ -184,7 +184,7 @@ TEST(TimedNetwork, CrossbarBroadcastGroupsCopiesByDeliveryTick)
     EXPECT_EQ(eq.executed(), 8u);
     EXPECT_EQ(eq.dispatched(), 4u);
     // Second broadcast: 1 + 1; third: 1 at port 0, 2 + 2 at 1 and 2.
-    EXPECT_EQ(net.portWaitCycles(), 7u);
+    EXPECT_EQ(net.stats().portWaitCycles.value(), 7u);
 }
 
 TEST(TimedNetwork, BusSerialisesEverything)
@@ -206,7 +206,7 @@ TEST(TimedNetwork, BusSerialisesEverything)
     ASSERT_EQ(arrivals.size(), 3u);
     EXPECT_LT(arrivals[0], arrivals[1]);
     EXPECT_LT(arrivals[1], arrivals[2]);
-    EXPECT_GT(net.portWaitCycles(), 0u);
+    EXPECT_GT(net.stats().portWaitCycles.value(), 0u);
 }
 
 TEST(TimedNetwork, CountsDataMessagesSeparately)
@@ -218,8 +218,8 @@ TEST(TimedNetwork, CountsDataMessagesSeparately)
     net.send(0, 1, msg(MsgKind::GetData, 1));
     net.send(0, 1, msg(MsgKind::PutData, 1));
     eq.run();
-    EXPECT_EQ(net.messagesSent(), 3u);
-    EXPECT_EQ(net.dataMessages(), 2u);
+    EXPECT_EQ(net.stats().messages.value(), 3u);
+    EXPECT_EQ(net.stats().dataMessages.value(), 2u);
 }
 
 TEST(MessageToString, CoversEveryKindAndPayload)
