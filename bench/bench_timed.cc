@@ -56,28 +56,6 @@ struct Cell
     Json latency;
 };
 
-const char *
-protoName(TimedProto p)
-{
-    switch (p) {
-      case TimedProto::TwoBit: return "two_bit";
-      case TimedProto::FullMap: return "full_map";
-      case TimedProto::YenFu: return "yen_fu";
-    }
-    return "?";
-}
-
-const char *
-netName(NetKind k)
-{
-    switch (k) {
-      case NetKind::Ideal: return "ideal";
-      case NetKind::Crossbar: return "crossbar";
-      case NetKind::Bus: return "bus";
-    }
-    return "?";
-}
-
 Cell
 runCell(const Spec &s, std::uint64_t refsPerProc,
         std::uint64_t dirRamBudget, TelemetrySampler *sampler = nullptr)
@@ -293,7 +271,7 @@ networkKindComparison(const std::vector<Cell> &cells)
                       static_cast<std::size_t>(ki * 2 + ni)]
                     .r;
             std::printf("%-10s %4u | %12llu %12llu %12llu\n",
-                        netName(kNets[ki]), ni == 0 ? 4u : 16u,
+                        enumName(netKindNames, kNets[ki]), ni == 0 ? 4u : 16u,
                         static_cast<unsigned long long>(r.finalTick),
                         static_cast<unsigned long long>(r.netMessages),
                         static_cast<unsigned long long>(
@@ -316,34 +294,16 @@ cellJson(const Spec &s, const Cell &c)
 {
     Json j = Json::object();
     j.set("section", s.section);
-    j.set("protocol", protoName(s.proto));
+    j.set("protocol", enumName(timedProtoNames, s.proto));
     j.set("n", s.n);
     j.set("q", s.q);
     j.set("perBlock", s.perBlock);
     j.set("snoop", s.snoop);
-    j.set("net", netName(s.net));
-    const TimedRunResult &r = c.r;
-    j.set("cycles", static_cast<unsigned long long>(r.finalTick));
-    j.set("refs", static_cast<unsigned long long>(r.refsCompleted));
-    j.set("messages", static_cast<unsigned long long>(r.netMessages));
-    j.set("broadcasts", static_cast<unsigned long long>(r.broadcasts));
-    j.set("netWaitCycles",
-          static_cast<unsigned long long>(r.netWaitCycles));
-    j.set("stolenCycles",
-          static_cast<unsigned long long>(r.stolenCycles));
-    j.set("filteredCmds",
-          static_cast<unsigned long long>(r.filteredCmds));
-    j.set("mreqConversions",
-          static_cast<unsigned long long>(r.mrequestConversions));
-    j.set("mreqDeleted",
-          static_cast<unsigned long long>(r.mreqDeleted));
-    j.set("putsConsumed",
-          static_cast<unsigned long long>(r.putsConsumed));
-    j.set("grantsFalse",
-          static_cast<unsigned long long>(r.grantsFalse));
+    j.set("net", enumName(netKindNames, s.net));
+    j = timedResultToJson(c.r, std::move(j));
     j.set("latency", c.latency);
-    if (hasDirStore(r.dirStore))
-        j.set("dirStore", dirStoreJson(r.dirStore));
+    if (hasDirStore(c.r.dirStore))
+        j.set("dirStore", dirStoreJson(c.r.dirStore));
     return j;
 }
 
@@ -394,11 +354,11 @@ main(int argc, char **argv)
     if (sampler && !bo.seriesPath.empty()) {
         const Spec &s0 = grid[0];
         Json sp = Json::object();
-        sp.set("protocol", protoName(s0.proto));
+        sp.set("protocol", enumName(timedProtoNames, s0.proto));
         sp.set("n", s0.n);
         sp.set("q", s0.q);
         sp.set("perBlock", s0.perBlock);
-        sp.set("net", netName(s0.net));
+        sp.set("net", enumName(netKindNames, s0.net));
         sp.set("refs", static_cast<unsigned long long>(refs));
         sp.set("seed", 31);
         sp.set("dirRamBudget",

@@ -27,7 +27,7 @@
  */
 
 #include <algorithm>
-#include <chrono>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -252,15 +252,10 @@ parse(int argc, char **argv)
     return o;
 }
 
-std::unique_ptr<RefStream>
-makeStream(const Options &o, ProcId procs)
+/** The synthetic workload the knobs describe, at `procs` processors. */
+SyntheticConfig
+syntheticConfig(const Options &o, ProcId procs)
 {
-    if (!o.tracePath.empty()) {
-        std::ifstream in(o.tracePath);
-        if (!in)
-            DIR2B_FATAL("cannot open trace '", o.tracePath, "'");
-        return std::make_unique<VectorStream>(readTrace(in));
-    }
     SyntheticConfig cfg;
     cfg.numProcs = procs;
     cfg.q = o.q;
@@ -271,7 +266,40 @@ makeStream(const Options &o, ProcId procs)
     cfg.hotBlocks = 24;
     cfg.seed = o.seed;
     cfg.spaceBlocks = o.spaceBlocks;
-    return std::make_unique<SyntheticStream>(cfg);
+    return cfg;
+}
+
+std::unique_ptr<RefStream>
+makeStream(const Options &o, ProcId procs)
+{
+    if (!o.tracePath.empty()) {
+        std::ifstream in(o.tracePath);
+        if (!in)
+            DIR2B_FATAL("cannot open trace '", o.tracePath, "'");
+        return std::make_unique<VectorStream>(readTrace(in));
+    }
+    return std::make_unique<SyntheticStream>(syntheticConfig(o, procs));
+}
+
+/**
+ * Open the --trace-in trace, if any, and echo the run geometry it
+ * fixes into `o`, so params and printouts describe the run that
+ * actually happens: without --procs the header's processor count,
+ * without --refs every record (split among the processors with
+ * --timed, whose --refs counts per processor).
+ */
+std::unique_ptr<TraceReader>
+openTraceIn(Options &o)
+{
+    if (o.traceInPath.empty())
+        return nullptr;
+    auto reader = std::make_unique<TraceReader>(o.traceInPath);
+    if (!o.procsSet && reader->header().numProcs)
+        o.procs = static_cast<ProcId>(reader->header().numProcs);
+    if (!o.refsSet)
+        o.refs = reader->totalRecords() /
+                 (o.mode == Timed ? std::max<ProcId>(1, o.procs) : 1);
+    return reader;
 }
 
 ProtoConfig
@@ -324,18 +352,50 @@ configJson(const Options &o)
     return p;
 }
 
-/** Sampling is on when any series flag is given. */
-bool
-samplingRequested(const Options &o)
+/**
+ * The sampler the series flags ask for (interval default 4096 domain
+ * units), or null when none is given.  With --progress, `meter` gets a
+ * progress line over `totalRefs` references.
+ */
+std::unique_ptr<TelemetrySampler>
+makeSampler(const Options &o, SeriesDomain domain, std::uint64_t totalRefs,
+            std::unique_ptr<ProgressMeter> &meter)
 {
-    return o.seriesInterval || !o.seriesPath.empty() || o.progress;
+    if (!o.seriesInterval && o.seriesPath.empty() && !o.progress)
+        return nullptr;
+    auto sampler = std::make_unique<TelemetrySampler>(
+        domain, o.seriesInterval ? o.seriesInterval : 4096);
+    if (o.progress) {
+        meter = std::make_unique<ProgressMeter>(totalRefs);
+        sampler->attachProgress(meter.get());
+    }
+    return sampler;
 }
 
-/** The sample interval, defaulting to 4096 domain units. */
-std::uint64_t
-effectiveInterval(const Options &o)
+/** The run options of every functional run. */
+RunOptions
+runOptions(const Options &o)
 {
-    return o.seriesInterval ? o.seriesInterval : 4096;
+    RunOptions opts;
+    opts.numRefs = o.refs;
+    opts.checkCoherence = !o.noOracle;
+    opts.invariantEvery = o.invariants ? 1000 : 0;
+    return opts;
+}
+
+/** A functional run's cell: its axes, result and directory store. */
+Json
+functionalCell(const char *section, ProcId procs, unsigned dirBits,
+               const RunResult &r, const DirStoreCounters &dirStore)
+{
+    Json c = Json::object();
+    c.set("section", section);
+    c.set("procs", procs);
+    c.set("dirBitsPerBlock", dirBits);
+    c.set("result", runResultToJson(r));
+    if (hasDirStore(dirStore))
+        c.set("dirStore", dirStoreJson(dirStore));
+    return c;
 }
 
 /**
@@ -363,6 +423,39 @@ writeSeries(const Options &o, const TelemetrySampler &s)
                   makeSeriesArtifact("dir2bsim", seriesParams(o), s));
     std::printf("wrote %s (%zu samples)\n", o.seriesPath.c_str(),
                 s.samples());
+}
+
+/**
+ * Print each member of the flat object `fields` as one text-report
+ * line.  A non-empty `prefix` goes before the key, whose first letter
+ * is then upper-cased ("dir" + "residentBytes" -> "dirResidentBytes").
+ */
+void
+printFields(const Json &fields, const std::string &prefix = "")
+{
+    for (const auto &[key, v] : fields.members()) {
+        std::string name = prefix + key;
+        if (!prefix.empty())
+            name[prefix.size()] = static_cast<char>(std::toupper(key[0]));
+        if (v.kind() == Json::Kind::Double)
+            std::printf("%-24s %12.2f\n", name.c_str(), v.asDouble());
+        else
+            std::printf("%-24s %12llu\n", name.c_str(),
+                        static_cast<unsigned long long>(v.asUint()));
+    }
+}
+
+/** Write the --json artifact of `cells` under `params`.  A timed run
+ *  is one serial simulation; the functional modes record the pool
+ *  width. */
+void
+writeJson(const Options &o, Json params, Json cells, const WallTimer &timer)
+{
+    BenchOptions bo;
+    bo.jsonPath = o.jsonPath;
+    bo.threads = o.mode == Timed ? 1 : o.threads;
+    emitArtifact(bo, "dir2bsim", std::move(params), std::move(cells), Json(),
+                 timer);
 }
 
 /** The v4 "traceReplay" provenance object for a replayed cell. */
@@ -414,7 +507,7 @@ recordBinary(const Options &o)
 int
 runSweep(const Options &o)
 {
-    const auto start = std::chrono::steady_clock::now();
+    const WallTimer timer;
     struct Cell
     {
         unsigned bits = 0;
@@ -431,11 +524,7 @@ runSweep(const Options &o)
             const ProcId procs = o.sweepProcs[i];
             auto proto = makeScheme(o, procs);
             auto stream = makeStream(o, procs);
-            RunOptions opts;
-            opts.numRefs = o.refs;
-            opts.checkCoherence = !o.noOracle;
-            opts.invariantEvery = o.invariants ? 1000 : 0;
-            cells[i].result = runFunctional(*proto, *stream, opts);
+            cells[i].result = runFunctional(*proto, *stream, runOptions(o));
             cells[i].bits = proto->directoryBitsPerBlock();
             cells[i].dirStore = proto->dirStoreCounters();
         },
@@ -461,28 +550,11 @@ runSweep(const Options &o)
 
     if (!o.jsonPath.empty()) {
         Json jcells = Json::array();
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            Json c = Json::object();
-            c.set("section", "sweep");
-            c.set("procs", o.sweepProcs[i]);
-            c.set("dirBitsPerBlock", cells[i].bits);
-            c.set("result", runResultToJson(cells[i].result));
-            if (hasDirStore(cells[i].dirStore))
-                c.set("dirStore", dirStoreJson(cells[i].dirStore));
-            jcells.push(std::move(c));
-        }
-        Json artifact = makeSweepArtifact("dir2bsim", configJson(o),
-                                          std::move(jcells));
-        const auto wall =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        stampMeta(artifact,
-                  o.threads ? o.threads : defaultThreadCount(), wall,
-                  false);
-        writeArtifact(o.jsonPath, artifact);
-        std::printf("wrote %s (%zu cells)\n", o.jsonPath.c_str(),
-                    cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            jcells.push(functionalCell("sweep", o.sweepProcs[i],
+                                       cells[i].bits, cells[i].result,
+                                       cells[i].dirStore));
+        writeJson(o, configJson(o), std::move(jcells), timer);
     }
     return 0;
 }
@@ -490,40 +562,24 @@ runSweep(const Options &o)
 int
 runTimed(Options o)
 {
-    std::unique_ptr<TraceReader> reader;
-    if (!o.traceInPath.empty())
-        reader = std::make_unique<TraceReader>(o.traceInPath);
-    ProcId procs = o.procs;
-    if (reader && !o.procsSet && reader->header().numProcs)
-        procs = static_cast<ProcId>(reader->header().numProcs);
-    std::uint64_t refsPerProc = o.refs;
-    if (reader && !o.refsSet)
-        refsPerProc = reader->totalRecords() / std::max<ProcId>(1, procs);
-    // Echo the effective replay geometry (possibly trace-derived) in
-    // the artifact's params block.
-    o.procs = procs;
-    o.refs = refsPerProc;
+    const std::unique_ptr<TraceReader> reader = openTraceIn(o);
     // A processor thinks for --think ticks before each of its
     // references, so its clock passes think x refs; keeping that under
     // 2^62 leaves the rest of the 64-bit tick for the latencies.
-    if (o.think && refsPerProc > (Tick{1} << 62) / o.think)
-        DIR2B_FATAL("--think ", o.think, " x --refs ", refsPerProc,
+    if (o.think && o.refs > (Tick{1} << 62) / o.think)
+        DIR2B_FATAL("--think ", o.think, " x --refs ", o.refs,
                     " would overflow the 64-bit simulated clock");
 
     TimedConfig cfg;
-    if (o.protocol == "two_bit" || o.protocol == "tb")
-        cfg.protocol = TimedProto::TwoBit;
-    else if (o.protocol == "full_map" || o.protocol == "fm")
-        cfg.protocol = TimedProto::FullMap;
-    else if (o.protocol == "yen_fu" || o.protocol == "yf")
-        cfg.protocol = TimedProto::YenFu;
+    if (const auto p = parseEnumName(timedProtoNames, o.protocol))
+        cfg.protocol = *p;
     else
         DIR2B_FATAL("--timed knows two_bit|full_map|yen_fu "
                     "(tb|fm|yf), not '", o.protocol, "'");
     if (o.dirRamBudget > 0 && cfg.protocol != TimedProto::TwoBit)
         DIR2B_FATAL("--dir-ram-budget: timed protocol '", o.protocol,
                     "' keeps no tiered directory to budget");
-    cfg.numProcs = procs;
+    cfg.numProcs = o.procs;
     cfg.numModules = o.modules;
     cfg.cacheGeom.sets = o.sets;
     cfg.cacheGeom.ways = o.ways;
@@ -532,127 +588,51 @@ runTimed(Options o)
     cfg.dirRamBudget = o.dirRamBudget;
     cfg.thinkTime = o.think;
 
-    SyntheticConfig scfg;
-    scfg.numProcs = procs;
-    scfg.q = o.q;
-    scfg.w = o.w;
-    scfg.sharedBlocks = o.sharedBlocks;
-    scfg.sharedLocality = o.locality;
-    scfg.privateBlocks = 96;
-    scfg.hotBlocks = 24;
-    scfg.seed = o.seed;
-    scfg.spaceBlocks = o.spaceBlocks;
-    SyntheticStream stream(scfg);
+    SyntheticStream stream(syntheticConfig(o, o.procs));
     std::unique_ptr<TraceProcSource> procSrc;
     if (reader)
-        procSrc = std::make_unique<TraceProcSource>(*reader, procs);
+        procSrc = std::make_unique<TraceProcSource>(*reader, o.procs);
 
-    std::unique_ptr<TelemetrySampler> sampler;
     std::unique_ptr<ProgressMeter> meter;
-    if (samplingRequested(o)) {
-        sampler = std::make_unique<TelemetrySampler>(
-            SeriesDomain::Ticks, effectiveInterval(o));
-        if (o.progress) {
-            meter = std::make_unique<ProgressMeter>(
-                refsPerProc * procs);
-            sampler->attachProgress(meter.get());
-        }
-        cfg.sampler = sampler.get();
-    }
+    const auto sampler =
+        makeSampler(o, SeriesDomain::Ticks, o.refs * o.procs, meter);
+    cfg.sampler = sampler.get();
 
-    const auto start = std::chrono::steady_clock::now();
+    const WallTimer timer;
     TimedSystem sys(cfg);
     const TimedRunResult r = sys.run(
         [&](ProcId p) -> std::optional<MemRef> {
             return procSrc ? procSrc->next(p) : stream.nextFor(p);
         },
-        refsPerProc);
+        o.refs);
 
     std::printf("# dir2bsim timed: protocol=%s procs=%u cache=%zux%zu "
                 "modules=%u refs/proc=%llu%s\n",
-                o.protocol.c_str(), procs, o.sets, o.ways, o.modules,
-                static_cast<unsigned long long>(refsPerProc),
+                o.protocol.c_str(), o.procs, o.sets, o.ways, o.modules,
+                static_cast<unsigned long long>(o.refs),
                 reader ? " (binary trace replay)" : "");
-    std::printf("%-24s %12llu\n", "cycles",
-                static_cast<unsigned long long>(r.finalTick));
-    std::printf("%-24s %12llu\n", "refsCompleted",
-                static_cast<unsigned long long>(r.refsCompleted));
-    std::printf("%-24s %12llu\n", "eventsExecuted",
-                static_cast<unsigned long long>(r.eventsExecuted));
-    std::printf("%-24s %12.2f\n", "avgLatency", r.avgLatency);
-    std::printf("%-24s %12llu\n", "latencyP99",
-                static_cast<unsigned long long>(r.latencyP99));
-    std::printf("%-24s %12llu\n", "netMessages",
-                static_cast<unsigned long long>(r.netMessages));
-    std::printf("%-24s %12llu\n", "broadcasts",
-                static_cast<unsigned long long>(r.broadcasts));
-    std::printf("%-24s %12llu\n", "netWaitCycles",
-                static_cast<unsigned long long>(r.netWaitCycles));
-    std::printf("%-24s %12llu\n", "stolenCycles",
-                static_cast<unsigned long long>(r.stolenCycles));
-    if (hasDirStore(r.dirStore)) {
-        const DirStoreCounters &d = r.dirStore;
-        std::printf("%-24s %12llu\n", "dirResidentBytes",
-                    static_cast<unsigned long long>(d.residentBytes));
-        std::printf("%-24s %12llu\n", "dirCompressedBytes",
-                    static_cast<unsigned long long>(
-                        d.compressedBytes));
-        std::printf("%-24s %12llu\n", "dirSegmentBytes",
-                    static_cast<unsigned long long>(d.segmentBytes));
-        std::printf("%-24s %6llu/%6llu/%6llu\n",
-                    "dirPages (hot/cold/disk)",
-                    static_cast<unsigned long long>(d.hotPages),
-                    static_cast<unsigned long long>(d.coldPages),
-                    static_cast<unsigned long long>(d.diskPages));
-    }
-    std::printf("# coherence: oracle checked %llu reads, "
-                "%llu writes\n",
-                static_cast<unsigned long long>(r.readsChecked),
-                static_cast<unsigned long long>(r.writesRecorded));
+    printFields(timedResultToJson(r));
+    if (hasDirStore(r.dirStore))
+        printFields(dirStoreJson(r.dirStore), "dir");
+    std::printf("# coherence: oracle checked every completion\n");
 
     if (sampler)
         writeSeries(o, *sampler);
 
     if (!o.jsonPath.empty()) {
-        Json cells = Json::array();
         Json c = Json::object();
         c.set("section", "timed");
-        c.set("procs", procs);
-        c.set("cycles", static_cast<unsigned long long>(r.finalTick));
-        c.set("refs",
-              static_cast<unsigned long long>(r.refsCompleted));
-        c.set("messages",
-              static_cast<unsigned long long>(r.netMessages));
-        c.set("broadcasts",
-              static_cast<unsigned long long>(r.broadcasts));
-        c.set("netWaitCycles",
-              static_cast<unsigned long long>(r.netWaitCycles));
-        c.set("stolenCycles",
-              static_cast<unsigned long long>(r.stolenCycles));
-        c.set("avgLatency", r.avgLatency);
-        c.set("latencyP50",
-              static_cast<unsigned long long>(r.latencyP50));
-        c.set("latencyP99",
-              static_cast<unsigned long long>(r.latencyP99));
+        c.set("procs", o.procs);
+        c = timedResultToJson(r, std::move(c));
         if (hasDirStore(r.dirStore))
             c.set("dirStore", dirStoreJson(r.dirStore));
         if (reader)
             c.set("traceReplay", traceReplayJson(*reader, false));
         if (sampler)
             c.set("series", seriesProvenanceJson(*sampler));
+        Json cells = Json::array();
         cells.push(std::move(c));
-        Json params = configJson(o);
-        params.set("timed", true);
-        params.set("think", static_cast<unsigned long long>(o.think));
-        Json artifact = makeSweepArtifact("dir2bsim", std::move(params),
-                                          std::move(cells));
-        const auto wall =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        stampMeta(artifact, 1, wall, false);
-        writeArtifact(o.jsonPath, artifact);
-        std::printf("wrote %s (1 cell)\n", o.jsonPath.c_str());
+        writeJson(o, seriesParams(o), std::move(cells), timer);
     }
     return 0;
 }
@@ -670,24 +650,13 @@ main(int argc, char **argv)
     if (o.mode == Sweep)
         return runSweep(o);
 
-    std::unique_ptr<TraceReader> reader;
-    if (!o.traceInPath.empty())
-        reader = std::make_unique<TraceReader>(o.traceInPath);
-    ProcId procs = o.procs;
-    if (reader && !o.procsSet && reader->header().numProcs)
-        procs = static_cast<ProcId>(reader->header().numProcs);
-    // Echo the effective replay geometry in params and printouts: a
-    // bare --trace-in takes procs and refs from the trace header, and
-    // the artifact must describe the run that actually happened.
-    o.procs = procs;
-    if (reader && !o.refsSet)
-        o.refs = reader->totalRecords();
+    const std::unique_ptr<TraceReader> reader = openTraceIn(o);
 
     if (o.mode == Analyze) {
         if (reader) {
             printTraceStats(std::cout, analyzeTrace(*reader, o.refs));
         } else {
-            auto stream = makeStream(o, procs);
+            auto stream = makeStream(o, o.procs);
             const auto refs = recordStream(*stream, o.refs);
             printTraceStats(std::cout, analyzeTrace(refs));
         }
@@ -695,7 +664,7 @@ main(int argc, char **argv)
     }
 
     if (o.mode == Record) {
-        auto stream = makeStream(o, procs);
+        auto stream = makeStream(o, o.procs);
         std::ofstream out(o.recordPath);
         if (!out)
             DIR2B_FATAL("cannot open '", o.recordPath, "' for writing");
@@ -706,38 +675,27 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const auto start = std::chrono::steady_clock::now();
-    auto proto = makeScheme(o, procs);
+    const WallTimer timer;
+    auto proto = makeScheme(o, o.procs);
 
-    RunOptions opts;
-    opts.numRefs = reader && !o.refsSet ? reader->totalRecords()
-                                        : o.refs;
-    opts.checkCoherence = !o.noOracle;
-    opts.invariantEvery = o.invariants ? 1000 : 0;
-    std::unique_ptr<TelemetrySampler> sampler;
+    RunOptions opts = runOptions(o);
     std::unique_ptr<ProgressMeter> meter;
-    if (samplingRequested(o)) {
-        sampler = std::make_unique<TelemetrySampler>(
-            SeriesDomain::Refs, effectiveInterval(o));
+    const auto sampler = makeSampler(o, SeriesDomain::Refs, o.refs, meter);
+    if (sampler)
         registerFunctionalMetrics(sampler->registry(), *proto);
-        if (o.progress) {
-            meter = std::make_unique<ProgressMeter>(opts.numRefs);
-            sampler->attachProgress(meter.get());
-        }
-        opts.sampler = sampler.get();
-    }
+    opts.sampler = sampler.get();
     RunResult r;
     if (reader) {
         TraceBatchStream batches(*reader);
         r = runFunctionalBatched(*proto, batches, opts);
     } else {
-        auto stream = makeStream(o, procs);
+        auto stream = makeStream(o, o.procs);
         r = runFunctional(*proto, *stream, opts);
     }
 
     std::printf("# dir2bsim: protocol=%s procs=%u cache=%zux%zu "
                 "modules=%u refs=%llu%s\n",
-                proto->name().c_str(), procs, o.sets, o.ways,
+                proto->name().c_str(), o.procs, o.sets, o.ways,
                 o.modules,
                 static_cast<unsigned long long>(r.counts.refs()),
                 reader ? " (binary trace replay)" : "");
@@ -755,24 +713,8 @@ main(int argc, char **argv)
     std::printf("%-24s %12u\n", "dirBitsPerBlock",
                 proto->directoryBitsPerBlock());
     const DirStoreCounters dirStore = proto->dirStoreCounters();
-    if (hasDirStore(dirStore)) {
-        std::printf("%-24s %12llu\n", "dirResidentBytes",
-                    static_cast<unsigned long long>(
-                        dirStore.residentBytes));
-        std::printf("%-24s %12llu\n", "dirCompressedBytes",
-                    static_cast<unsigned long long>(
-                        dirStore.compressedBytes));
-        std::printf("%-24s %12llu\n", "dirSegmentBytes",
-                    static_cast<unsigned long long>(
-                        dirStore.segmentBytes));
-        std::printf("%-24s %6llu/%6llu/%6llu\n",
-                    "dirPages (hot/cold/disk)",
-                    static_cast<unsigned long long>(dirStore.hotPages),
-                    static_cast<unsigned long long>(
-                        dirStore.coldPages),
-                    static_cast<unsigned long long>(
-                        dirStore.diskPages));
-    }
+    if (hasDirStore(dirStore))
+        printFields(dirStoreJson(dirStore), "dir");
     if (!o.noOracle)
         std::printf("# coherence: every read verified\n");
 
@@ -780,30 +722,15 @@ main(int argc, char **argv)
         writeSeries(o, *sampler);
 
     if (!o.jsonPath.empty()) {
-        Json cells = Json::array();
-        Json c = Json::object();
-        c.set("section", "run");
-        c.set("procs", procs);
-        c.set("dirBitsPerBlock", proto->directoryBitsPerBlock());
-        c.set("result", runResultToJson(r));
-        if (hasDirStore(dirStore))
-            c.set("dirStore", dirStoreJson(dirStore));
+        Json c = functionalCell("run", o.procs,
+                                proto->directoryBitsPerBlock(), r, dirStore);
         if (reader)
             c.set("traceReplay", traceReplayJson(*reader, true));
         if (sampler)
             c.set("series", seriesProvenanceJson(*sampler));
+        Json cells = Json::array();
         cells.push(std::move(c));
-        Json artifact = makeSweepArtifact("dir2bsim", configJson(o),
-                                          std::move(cells));
-        const auto wall =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        stampMeta(artifact,
-                  o.threads ? o.threads : defaultThreadCount(), wall,
-                  false);
-        writeArtifact(o.jsonPath, artifact);
-        std::printf("wrote %s (1 cell)\n", o.jsonPath.c_str());
+        writeJson(o, configJson(o), std::move(cells), timer);
     }
     return 0;
 }

@@ -67,8 +67,9 @@ emitArtifact(const BenchOptions &opts, const std::string &bench,
     stampMeta(artifact, opts.resolvedThreads(), timer.elapsedMs(),
               opts.quick);
     writeArtifact(opts.jsonPath, artifact);
-    std::printf("wrote %s (%zu cells)\n", opts.jsonPath.c_str(),
-                artifact.at("cells").size());
+    const std::size_t n = artifact.at("cells").size();
+    std::printf("wrote %s (%zu cell%s)\n", opts.jsonPath.c_str(), n,
+                n == 1 ? "" : "s");
 }
 
 } // namespace dir2b

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "timed/timed_system.hh"
 #include "util/logging.hh"
 
 namespace dir2b
@@ -50,6 +51,18 @@ runResultToJson(const RunResult &r)
                 static_cast<unsigned long long>(r.stateSamples));
         j.set("stateOccupancy", occ);
     }
+    return j;
+}
+
+Json
+timedResultToJson(const TimedRunResult &r, Json j)
+{
+    for (const auto &f : timedResultFields)
+        j.set(f.name, r.*f.member);
+    j.set("avgLatency", r.avgLatency);
+    j.set("latencyP50", r.latencyP50);
+    j.set("latencyP95", r.latencyP95);
+    j.set("latencyP99", r.latencyP99);
     return j;
 }
 

@@ -37,6 +37,8 @@
 namespace dir2b
 {
 
+struct TimedRunResult;
+
 /** Version of the artifact layout; bump on any incompatible change
  *  and record the change in docs/METRICS.md.
  *  v2: histogram stat entries and "latency" summary objects carry
@@ -71,6 +73,12 @@ Json countsToJson(const AccessCounts &c);
 /** A full functional-tier run: counts + measured model parameters +
  *  state occupancies. */
 Json runResultToJson(const RunResult &r);
+
+/** A timed run's counters, keyed by the TimedRunResult field list,
+ *  then avgLatency and latencyP50/P95/P99: the results of a timed
+ *  sweep cell, appended to `cell` (a cell's axes, or empty). */
+Json timedResultToJson(const TimedRunResult &r,
+                       Json cell = Json::object());
 
 /** Compact distribution summary (samples/mean/min/max/p50/p95/p99) —
  *  the shape sweep cells use for latency objects. */

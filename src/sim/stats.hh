@@ -97,9 +97,10 @@ enum class MetricKind : std::uint8_t
 
 /**
  * One entry of a stats struct's field list: the member, its name as
- * spelled in the source, a description and (for scalar statistics)
- * its kind.  Histogram lists leave the kind at its default; only the
- * series reads it, and the series samples scalars only.
+ * spelled in the source (for TimedRunResult, its timed-cell key), a
+ * description and (for scalar statistics) its kind.  Histogram lists
+ * leave the kind at its default; only the series reads it, and the
+ * series samples scalars only.
  */
 template <class S, class V>
 struct StatField

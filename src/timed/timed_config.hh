@@ -19,6 +19,8 @@
 #define DIR2B_TIMED_TIMED_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "cache/cache_array.hh"
 #include "util/types.hh"
@@ -57,6 +59,50 @@ enum class TimedProto
      *  (see timed/yf_dir_ctrl.hh). */
     YenFu,
 };
+
+/** One spelling of an enumerator: the name artifacts and reports
+ *  echo, and an optional short command-line alias. */
+template <class E>
+struct EnumName
+{
+    E value;
+    const char *name;
+    const char *alias = nullptr;
+};
+
+inline constexpr EnumName<TimedProto> timedProtoNames[] = {
+    {TimedProto::TwoBit, "two_bit", "tb"},
+    {TimedProto::FullMap, "full_map", "fm"},
+    {TimedProto::YenFu, "yen_fu", "yf"},
+};
+
+inline constexpr EnumName<NetKind> netKindNames[] = {
+    {NetKind::Ideal, "ideal"},
+    {NetKind::Crossbar, "crossbar"},
+    {NetKind::Bus, "bus"},
+};
+
+/** The name of `v` in `names`. */
+template <class E, std::size_t N>
+constexpr const char *
+enumName(const EnumName<E> (&names)[N], E v)
+{
+    for (const auto &n : names)
+        if (n.value == v)
+            return n.name;
+    return "?";
+}
+
+/** The enumerator `s` names or aliases in `names`; nullopt if none. */
+template <class E, std::size_t N>
+constexpr std::optional<E>
+parseEnumName(const EnumName<E> (&names)[N], std::string_view s)
+{
+    for (const auto &n : names)
+        if (s == n.name || (n.alias && s == n.alias))
+            return n.value;
+    return std::nullopt;
+}
 
 /** Knobs of a timed run. */
 struct TimedConfig

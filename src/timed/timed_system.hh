@@ -42,25 +42,38 @@ class MetricRegistry;
  */
 using ProcSource = std::function<std::optional<MemRef>(ProcId)>;
 
+/**
+ * The TimedRunResult counter list: member, timed sweep-cell key,
+ * description, in the key order of a timed cell.  Every member is a
+ * std::uint64_t (Tick is one); TimedSystem::aggregateResult fills
+ * them.
+ */
+#define DIR2B_TIMED_RESULT_COUNTERS(X)                                      \
+    X(finalTick, cycles, "simulated cycles to the last completion")         \
+    X(refsCompleted, refs, "references completed")                          \
+    X(netMessages, messages, "point-to-point deliveries")                   \
+    X(broadcasts, broadcasts, "broadcast operations")                       \
+    X(netWaitCycles, netWaitCycles, "cycles queued for a port or the bus")  \
+    X(stolenCycles, stolenCycles, "cache cycles taken by remote commands")  \
+    X(filteredCmds, filteredCmds, "absorbed by the duplicate directory")    \
+    X(mrequestConversions, mreqConversions,                                 \
+      "BROADINV treated as MGRANTED(false)")                                \
+    X(mreqDeleted, mreqDeleted, "stale MREQUESTs deleted from the queue")   \
+    X(putsConsumed, putsConsumed, "queued EJECT(write) used as put()")      \
+    X(putsAwaited, putsAwaited, "queries resolved by a later put")          \
+    X(grantsFalse, grantsFalse, "MGRANTED(false) replies")                  \
+    X(eventsExecuted, eventsExecuted, "kernel events executed")             \
+    X(readsChecked, readsChecked, "reads the oracle verified")              \
+    X(writesRecorded, writesRecorded, "writes the oracle recorded")
+
 /** Aggregate results of a timed run. */
 struct TimedRunResult
 {
-    Tick finalTick = 0;
-    std::uint64_t refsCompleted = 0;
-    std::uint64_t eventsExecuted = 0;
+#define X(m, key, desc) std::uint64_t m = 0;
+    DIR2B_TIMED_RESULT_COUNTERS(X)
+#undef X
+    /** Mean request latency over all caches. */
     double avgLatency = 0.0;
-    std::uint64_t stolenCycles = 0;
-    std::uint64_t filteredCmds = 0;
-    std::uint64_t mrequestConversions = 0;
-    std::uint64_t mreqDeleted = 0;
-    std::uint64_t putsConsumed = 0;
-    std::uint64_t putsAwaited = 0;
-    std::uint64_t grantsFalse = 0;
-    std::uint64_t netMessages = 0;
-    std::uint64_t broadcasts = 0;
-    std::uint64_t netWaitCycles = 0;
-    std::uint64_t readsChecked = 0;
-    std::uint64_t writesRecorded = 0;
     /** Request-latency percentiles over all caches (merged). */
     Tick latencyP50 = 0;
     Tick latencyP95 = 0;
@@ -68,6 +81,14 @@ struct TimedRunResult
     /** Tiered directory-storage counters (two-bit scheme; zeros for
      *  schemes whose directory is not the tiered 2-bit map). */
     DirStoreCounters dirStore;
+};
+
+/** The TimedRunResult counter list as data; `name` is the cell key. */
+inline constexpr StatField<TimedRunResult, std::uint64_t>
+    timedResultFields[] = {
+#define X(m, key, desc) {&TimedRunResult::m, #key, desc},
+        DIR2B_TIMED_RESULT_COUNTERS(X)
+#undef X
 };
 
 /** A complete timed two-bit multiprocessor. */

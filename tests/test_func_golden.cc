@@ -26,6 +26,7 @@
 #include <string>
 
 #include "proto/protocol_factory.hh"
+#include "stats_digest.hh"
 #include "trace/reference.hh"
 #include "trace/synthetic.hh"
 #include "util/random.hh"
@@ -34,17 +35,6 @@ namespace dir2b
 {
 namespace
 {
-
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t x)
-{
-    // FNV-1a over the eight bytes of x.
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 constexpr std::uint64_t goldenRefs = 40000;
 constexpr std::uint64_t flushEvery = 1009;

@@ -17,6 +17,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/trace_recorder.hh"
 #include "report/report.hh"
+#include "stats_digest.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
@@ -281,18 +282,8 @@ TEST(DebugRouting, SinkReceivesMessagesRegardlessOfLogLevel)
 // Instrumented timed runs: content and the do-no-harm guarantee.
 // ---------------------------------------------------------------------
 
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t x)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 /** Same fixed workload as the golden-digest test, with an optional
- *  recorder attached; digest over the same integer statistics. */
+ *  recorder attached; the same statistics digest. */
 std::uint64_t
 digestRun(TimedProto proto, TraceRecorder *tracer)
 {
@@ -323,32 +314,7 @@ digestRun(TimedProto proto, TraceRecorder *tracer)
         },
         400);
 
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = fold(h, r.finalTick);
-    h = fold(h, r.refsCompleted);
-    h = fold(h, r.eventsExecuted);
-    h = fold(h, r.stolenCycles);
-    h = fold(h, r.mrequestConversions);
-    h = fold(h, r.netMessages);
-    h = fold(h, r.broadcasts);
-    h = fold(h, r.netWaitCycles);
-    for (ProcId p = 0; p < cfg.numProcs; ++p) {
-        const auto &s = sys.cacheCtrl(p).stats();
-        h = fold(h, s.readHits.value());
-        h = fold(h, s.writeHits.value());
-        h = fold(h, s.readMisses.value());
-        h = fold(h, s.writeMisses.value());
-        h = fold(h, s.mrequests.value());
-    }
-    for (ModuleId m = 0; m < cfg.numModules; ++m) {
-        const auto &s = sys.dirCtrl(m).stats();
-        h = fold(h, s.requests.value());
-        h = fold(h, s.mrequests.value());
-        h = fold(h, s.broadInvs.value());
-        h = fold(h, s.grantsTrue.value());
-        h = fold(h, s.grantsFalse.value());
-    }
-    return h;
+    return digestStats(r, sys);
 }
 
 TEST(Instrumentation, TracingOnAndOffProduceIdenticalDigests)

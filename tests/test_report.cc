@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -15,6 +16,7 @@
 #include "report/bench_cli.hh"
 #include "report/report.hh"
 #include "temp_path.hh"
+#include "timed/timed_system.hh"
 
 namespace dir2b
 {
@@ -106,6 +108,48 @@ TEST(Report, CountsRoundTripThroughJson)
     EXPECT_DOUBLE_EQ(back.at("missRatio").asDouble(), c.missRatio());
     EXPECT_DOUBLE_EQ(back.at("uselessPerRef").asDouble(),
                      c.uselessPerRef());
+}
+
+TEST(Report, TimedResultJsonCarriesEveryField)
+{
+    TimedRunResult r;
+    std::uint64_t v = 1000;
+    for (const auto &f : timedResultFields)
+        r.*f.member = ++v;
+    r.avgLatency = 3.25;
+    r.latencyP50 = ++v;
+    r.latencyP95 = ++v;
+    r.latencyP99 = ++v;
+
+    Json axes = Json::object();
+    axes.set("section", "timed");
+    const Json back =
+        Json::parse(timedResultToJson(r, std::move(axes)).dump(2));
+    ASSERT_EQ(back.size(), std::size(timedResultFields) + 5);
+    EXPECT_EQ(back.members().front().first, "section");
+    auto once = [&back](const std::string &key) {
+        int n = 0;
+        for (const auto &m : back.members())
+            n += m.first == key;
+        return n;
+    };
+    for (const auto &f : timedResultFields) {
+        EXPECT_EQ(once(f.name), 1) << f.name;
+        EXPECT_EQ(back.at(f.name).asUint(), r.*f.member) << f.name;
+    }
+    // The cell keys that differ from their member names.
+    EXPECT_EQ(back.at("cycles").asUint(), r.finalTick);
+    EXPECT_EQ(back.at("refs").asUint(), r.refsCompleted);
+    EXPECT_EQ(back.at("messages").asUint(), r.netMessages);
+    EXPECT_EQ(back.at("mreqConversions").asUint(),
+              r.mrequestConversions);
+    for (const char *key :
+         {"avgLatency", "latencyP50", "latencyP95", "latencyP99"})
+        EXPECT_EQ(once(key), 1) << key;
+    EXPECT_DOUBLE_EQ(back.at("avgLatency").asDouble(), 3.25);
+    EXPECT_EQ(back.at("latencyP50").asUint(), r.latencyP50);
+    EXPECT_EQ(back.at("latencyP95").asUint(), r.latencyP95);
+    EXPECT_EQ(back.at("latencyP99").asUint(), r.latencyP99);
 }
 
 TEST(Report, ArtifactCarriesSchemaAndMeta)

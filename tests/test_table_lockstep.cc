@@ -22,6 +22,7 @@
 
 #include "check/differ.hh"
 #include "proto/protocol_factory.hh"
+#include "stats_digest.hh"
 
 namespace dir2b
 {
@@ -132,16 +133,6 @@ TEST(Lockstep, DetectsDivergingInterpreters)
     const auto fail = lockstepTrace(lc, fuzzTrace(fc, 0));
     ASSERT_TRUE(fail);
     EXPECT_EQ(fail->kind, "lockstep-delta");
-}
-
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t x)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
 }
 
 /** Functional-tier digest: a fixed contended trace, FNV-1a over every

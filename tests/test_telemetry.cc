@@ -19,6 +19,7 @@
 #include "obs/trace_recorder.hh"
 #include "proto/protocol_factory.hh"
 #include "report/report.hh"
+#include "stats_digest.hh"
 #include "system/func_system.hh"
 #include "system/func_telemetry.hh"
 #include "timed/timed_system.hh"
@@ -305,16 +306,6 @@ TEST(Fixtures, SweepSeriesProvenanceGatesOnSchemaV5)
 // ---------------------------------------------------------------------
 // Do-no-harm + pinned series bytes on the timed tier.
 // ---------------------------------------------------------------------
-
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t x)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 TimedConfig
 timedConfig(TimedProto proto, TelemetrySampler *sampler,

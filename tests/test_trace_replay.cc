@@ -26,6 +26,7 @@
 
 #include "check/differ.hh"
 #include "proto/protocol_factory.hh"
+#include "stats_digest.hh"
 #include "system/func_system.hh"
 #include "temp_path.hh"
 #include "timed/timed_system.hh"
@@ -53,16 +54,6 @@ class TempTrace
   private:
     std::string path_;
 };
-
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t x)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 // ------------------------------------------------- timed-tier replay
 
@@ -95,56 +86,6 @@ recordGoldenWorkload(const std::string &path)
     for (std::uint64_t n = 0; n < 4 * goldenRefsPerProc; ++n)
         w.append(*stream.next());
     w.finish();
-}
-
-/** Identical statistics digest to test_golden_digest.cc. */
-std::uint64_t
-digestStats(const TimedRunResult &r, const TimedSystem &sys)
-{
-    const TimedConfig &cfg = sys.config();
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = fold(h, r.finalTick);
-    h = fold(h, r.refsCompleted);
-    h = fold(h, r.eventsExecuted);
-    h = fold(h, r.stolenCycles);
-    h = fold(h, r.mrequestConversions);
-    h = fold(h, r.mreqDeleted);
-    h = fold(h, r.putsConsumed);
-    h = fold(h, r.putsAwaited);
-    h = fold(h, r.grantsFalse);
-    h = fold(h, r.netMessages);
-    h = fold(h, r.broadcasts);
-    h = fold(h, r.netWaitCycles);
-    h = fold(h, r.readsChecked);
-    h = fold(h, r.writesRecorded);
-
-    for (ProcId p = 0; p < cfg.numProcs; ++p) {
-        const auto &s = sys.cacheCtrl(p).stats();
-        h = fold(h, s.readHits.value());
-        h = fold(h, s.writeHits.value());
-        h = fold(h, s.readMisses.value());
-        h = fold(h, s.writeMisses.value());
-        h = fold(h, s.mrequests.value());
-        h = fold(h, s.staleGrantsIgnored.value());
-        h = fold(h, s.invalidationsApplied.value());
-        h = fold(h, s.queriesAnswered.value());
-        h = fold(h, s.writebacksSent.value());
-    }
-    for (ModuleId m = 0; m < cfg.numModules; ++m) {
-        const auto &s = sys.dirCtrl(m).stats();
-        h = fold(h, s.requests.value());
-        h = fold(h, s.mrequests.value());
-        h = fold(h, s.ejectsData.value());
-        h = fold(h, s.ejectsIgnored.value());
-        h = fold(h, s.ejectsApplied.value());
-        h = fold(h, s.broadInvs.value());
-        h = fold(h, s.broadQueries.value());
-        h = fold(h, s.directedInvs.value());
-        h = fold(h, s.purges.value());
-        h = fold(h, s.grantsTrue.value());
-        h = fold(h, s.grantsFalse.value());
-    }
-    return h;
 }
 
 /** digestRun from test_golden_digest.cc, fed from the mmap'ed trace

@@ -4,7 +4,7 @@
  * dir2b.trace artifact (docs/TRACING.md) plus a per-phase latency
  * summary on stdout.
  *
- *   trace_dump [--out PATH] [--protocol tb|fm|yf] [--procs N]
+ *   trace_dump [--out PATH] [--protocol P] [--procs N]
  *              [--modules M] [--refs N] [--seed S] [--q Q]
  *              [--net ideal|crossbar|bus] [--per-block] [--snoop]
  *              [--capacity N] [--debug]
@@ -100,7 +100,8 @@ main(int argc, char **argv)
              {"--out", arg::text(outPath, "PATH"),
               "artifact path (default: dir2b.trace)"},
              {"--protocol", arg::text(protoName, "P"),
-              "tb | fm | yf (default: tb)"},
+              "two_bit | full_map | yen_fu, or tb | fm | yf (default: "
+              "tb)"},
              {"--procs", arg::count(procs, 1, invalidProc - 1),
               "processor-cache pairs (default: 4)"},
              {"--modules", arg::count(modules, 1),
@@ -131,20 +132,13 @@ main(int argc, char **argv)
          }});
 
     TimedConfig cfg;
-    if (protoName == "tb")
-        cfg.protocol = TimedProto::TwoBit;
-    else if (protoName == "fm")
-        cfg.protocol = TimedProto::FullMap;
-    else if (protoName == "yf")
-        cfg.protocol = TimedProto::YenFu;
+    if (const auto p = parseEnumName(timedProtoNames, protoName))
+        cfg.protocol = *p;
     else
-        fail("unknown --protocol '" + protoName + "' (tb|fm|yf)");
-    if (netName == "ideal")
-        cfg.network = NetKind::Ideal;
-    else if (netName == "crossbar")
-        cfg.network = NetKind::Crossbar;
-    else if (netName == "bus")
-        cfg.network = NetKind::Bus;
+        fail("unknown --protocol '" + protoName +
+             "' (two_bit|full_map|yen_fu or tb|fm|yf)");
+    if (const auto k = parseEnumName(netKindNames, netName))
+        cfg.network = *k;
     else
         fail("unknown --net '" + netName + "' (ideal|crossbar|bus)");
     cfg.numProcs = procs;
