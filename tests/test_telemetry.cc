@@ -337,24 +337,8 @@ timedWorkload(ProcId procs = 4)
     return scfg;
 }
 
-std::uint64_t
-digestTimedResult(const TimedRunResult &r)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = fold(h, r.finalTick);
-    h = fold(h, r.refsCompleted);
-    h = fold(h, r.eventsExecuted);
-    h = fold(h, r.stolenCycles);
-    h = fold(h, r.mrequestConversions);
-    h = fold(h, r.netMessages);
-    h = fold(h, r.broadcasts);
-    h = fold(h, r.netWaitCycles);
-    h = fold(h, r.latencyP50);
-    h = fold(h, r.latencyP99);
-    return h;
-}
-
-/** Run the fixed workload, optionally sampled. */
+/** Run the fixed workload, optionally sampled; the pinned
+ *  statistics digest. */
 std::uint64_t
 timedDigest(TimedProto proto, TelemetrySampler *sampler,
             ProcId procs = 4, std::uint64_t refsPerProc = 400)
@@ -362,11 +346,12 @@ timedDigest(TimedProto proto, TelemetrySampler *sampler,
     const TimedConfig cfg = timedConfig(proto, sampler, procs);
     SyntheticStream stream(timedWorkload(procs));
     TimedSystem sys(cfg);
-    return digestTimedResult(sys.run(
+    const TimedRunResult r = sys.run(
         [&](ProcId p) -> std::optional<MemRef> {
             return stream.nextFor(p);
         },
-        refsPerProc));
+        refsPerProc);
+    return digestStats(r, sys);
 }
 
 TEST(DoNoHarm, TimedSamplingOnAndOffProduceIdenticalDigests)
