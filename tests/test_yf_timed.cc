@@ -157,6 +157,38 @@ TEST(YfTimed, ConcurrentUpgradeRaceSerialises)
               1u);
 }
 
+// At 16 processors a sharer's clean EJECT can still be in flight when
+// an INVALIDATE has already cleared its presence bit and a later
+// request PURGEs the block's new sole holder.  Only the sole holder's
+// put may answer that purge; the stale EJECT once did, leaving two
+// dirty copies or a stuck controller.  Each seed below failed so.
+TEST(YfTimed, StaleEjectDoesNotAnswerAPurge)
+{
+    for (const std::uint64_t seed : {1u, 2u, 14u, 17u, 29u}) {
+        TimedConfig cfg = config(16);
+        cfg.numModules = 2;
+        cfg.perBlockConcurrency = true;
+        cfg.network = NetKind::Crossbar;
+        TimedSystem sys(cfg);
+
+        SyntheticConfig scfg;
+        scfg.numProcs = 16;
+        scfg.q = 0.2;
+        scfg.w = 0.3;
+        scfg.sharedBlocks = 8;
+        scfg.privateBlocks = 64;
+        scfg.hotBlocks = 16;
+        scfg.seed = seed;
+        SyntheticStream stream(scfg);
+        const auto r = sys.run(
+            [&stream](ProcId p) -> std::optional<MemRef> {
+                return stream.nextFor(p);
+            },
+            400);
+        EXPECT_EQ(r.refsCompleted, 16u * 400u) << "seed " << seed;
+    }
+}
+
 // gtest prints a parameter without operator<< as its raw bytes, and
 // that dump becomes part of the ctest test name.  perBlock is four
 // bytes wide so the struct has no padding: a bool would leave three
