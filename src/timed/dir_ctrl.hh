@@ -36,19 +36,16 @@ class TwoBitDirCtrl : public TimedDirCtrl
           dir_(perModuleDirBudget(cfg.dirRamBudget, cfg.numModules))
     {}
 
-    const TwoBitDirectory &directory() const { return dir_; }
     const TwoBitDirectory *twoBitDir() const override { return &dir_; }
 
   protected:
-    void process(const Message &msg) override;
+    void processRequest(const Message &msg) override;
+    void processMRequest(const Message &msg) override;
+    void processEject(const Message &msg) override;
     void onPutResolved(Addr a, ProcId requester, RW rw,
                        const Message &answer) override;
 
   private:
-    void processRequest(const Message &msg);
-    void processMRequest(const Message &msg);
-    void processEject(const Message &msg);
-
     /** Supply data for a REQUEST and set the post-transaction state. */
     void finishRequest(ProcId k, Addr a, RW rw, Value data,
                        bool writeBack);

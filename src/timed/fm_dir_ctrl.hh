@@ -47,26 +47,15 @@ class FmDirCtrl : public TimedDirCtrl
         explicit Entry(std::size_t n) : present(n) {}
     };
 
-    /** Entry for block a (empty if never touched). */
-    const Entry *entry(Addr a) const;
-
   protected:
-    void process(const Message &msg) override;
+    void processRequest(const Message &msg) override;
+    void processMRequest(const Message &msg) override;
+    void processEject(const Message &msg) override;
     void onPutResolved(Addr a, ProcId requester, RW rw,
                        const Message &answer) override;
 
   private:
     Entry &entryFor(Addr a);
-
-    void processRequest(const Message &msg);
-    void processMRequest(const Message &msg);
-    void processEject(const Message &msg);
-
-    /** Directed INVALIDATE to every holder except 'except'; stale
-     *  'except' bits are cleared silently.  Runs onAcked when every
-     *  recipient confirmed (immediately if there were none). */
-    void invalidateHolders(Addr a, Entry &e, ProcId except,
-                           AckAction onAcked);
 
     /** Supply data for a REQUEST and update the entry. */
     void finishRequest(ProcId k, Addr a, RW rw, Value data,

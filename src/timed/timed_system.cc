@@ -3,7 +3,6 @@
 #include <string>
 
 #include "timed/dir_ctrl.hh"
-#include "timed/fm_cache_ctrl.hh"
 #include "timed/fm_dir_ctrl.hh"
 #include "timed/yf_cache_ctrl.hh"
 #include "timed/yf_dir_ctrl.hh"
@@ -32,21 +31,13 @@ TimedSystem::TimedSystem(const TimedConfig &cfg)
     caches_.reserve(cfg_.numProcs);
     CompletionSink &sink = *this;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        switch (cfg_.protocol) {
-          case TimedProto::FullMap:
-            caches_.push_back(std::make_unique<FmCacheCtrl>(
-                p, cfg_, eq_, *net_, sink, bank_));
-            break;
-          case TimedProto::YenFu:
+        if (cfg_.protocol == TimedProto::YenFu)
             caches_.push_back(std::make_unique<YfCacheCtrl>(
                 p, cfg_, eq_, *net_, sink, bank_));
-            break;
-          case TimedProto::TwoBit:
-            caches_.push_back(std::make_unique<TwoBitCacheCtrl>(
+        else
+            caches_.push_back(std::make_unique<TimedCacheCtrl>(
                 p, cfg_, eq_, *net_, sink, bank_));
-            break;
-        }
-        TwoBitCacheCtrl *cc = caches_.back().get();
+        TimedCacheCtrl *cc = caches_.back().get();
         net_->connect(p, [cc](unsigned src, const Message &m) {
             cc->receive(src, m);
         });

@@ -2,7 +2,8 @@
  * @file
  * The timed multiprocessor of Figure 3-1: n processor-cache pairs and
  * m controller-memory modules on an interconnection network, running
- * the two-bit directory protocol with real latencies.
+ * a timed coherence scheme (two-bit, full map or Yen-Fu) with real
+ * latencies.
  *
  * Processors are blocking (one outstanding reference, thinkTime
  * between references) and draw their streams from a per-processor
@@ -91,7 +92,7 @@ inline constexpr StatField<TimedRunResult, std::uint64_t>
 #undef X
 };
 
-/** A complete timed two-bit multiprocessor. */
+/** A complete timed multiprocessor. */
 class TimedSystem : private CompletionSink
 {
   public:
@@ -109,7 +110,7 @@ class TimedSystem : private CompletionSink
     TimedRunResult run(const ProcSource &source,
                        std::uint64_t refsPerProc);
 
-    const TwoBitCacheCtrl &cacheCtrl(ProcId p) const
+    const TimedCacheCtrl &cacheCtrl(ProcId p) const
     {
         return *caches_.at(p);
     }
@@ -194,7 +195,7 @@ class TimedSystem : private CompletionSink
     CacheBank bank_;
     /** deliverBroadcast()'s copy of the block's holder bitmap. */
     std::vector<std::uint64_t> holders_;
-    std::vector<std::unique_ptr<TwoBitCacheCtrl>> caches_;
+    std::vector<std::unique_ptr<TimedCacheCtrl>> caches_;
     std::vector<std::unique_ptr<TimedDirCtrl>> dirs_;
     TimedOracle oracle_;
     ProcSource source_;

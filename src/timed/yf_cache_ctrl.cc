@@ -8,22 +8,10 @@ namespace dir2b
 void
 YfCacheCtrl::receive(unsigned src, const Message &msg)
 {
-    switch (msg.kind) {
-      case MsgKind::Purge:
+    if (msg.kind == MsgKind::Purge)
         onPurge(msg);
-        return;
-      case MsgKind::Invalidate: {
-        // Directed invalidation with BROADINV semantics (only ever
-        // sent to holders of multi-copy — hence clean — blocks).
-        Message inv = msg;
-        inv.kind = MsgKind::BroadInv;
-        TwoBitCacheCtrl::receive(src, inv);
-        return;
-      }
-      default:
-        TwoBitCacheCtrl::receive(src, msg);
-        return;
-    }
+    else
+        TimedCacheCtrl::receive(src, msg);
 }
 
 void

@@ -27,10 +27,10 @@ namespace dir2b
 {
 
 /** Timed Yen-Fu cache controller. */
-class YfCacheCtrl : public TwoBitCacheCtrl
+class YfCacheCtrl : public TimedCacheCtrl
 {
   public:
-    using TwoBitCacheCtrl::TwoBitCacheCtrl;
+    using TimedCacheCtrl::TimedCacheCtrl;
 
     void receive(unsigned src, const Message &msg) override;
 

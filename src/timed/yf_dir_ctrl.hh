@@ -40,23 +40,15 @@ class YfDirCtrl : public TimedDirCtrl
     {}
 
   protected:
-    void process(const Message &msg) override;
+    void processRequest(const Message &msg) override;
+    void processMRequest(const Message &msg) override;
+    void processEject(const Message &msg) override;
     void onPutResolved(Addr a, ProcId requester, RW rw,
                        const Message &answer) override;
     bool ejectReadAnswersWait() const override { return true; }
 
   private:
     DynBitset &entryFor(Addr a);
-
-    void processRequest(const Message &msg);
-    void processMRequest(const Message &msg);
-    void processEject(const Message &msg);
-
-    /** Directed PURGE(a, requester, rw) to the sole holder. */
-    void purgeSoleHolder(Addr a, ProcId requester, RW rw);
-
-    void invalidateHolders(Addr a, DynBitset &e, ProcId except,
-                           AckAction onAcked);
 
     FlatMap<Addr, DynBitset> map_;
 };
