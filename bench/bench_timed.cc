@@ -72,16 +72,8 @@ runCell(const Spec &s, std::uint64_t refsPerProc,
     cfg.dirRamBudget = dirRamBudget;
     cfg.sampler = sampler;
 
-    SyntheticConfig scfg;
-    scfg.numProcs = s.n;
-    scfg.q = s.q;
-    scfg.w = 0.3;
-    scfg.sharedBlocks = 16;
-    scfg.privateBlocks = 96;
-    scfg.hotBlocks = 24;
-    scfg.sharedLocality = 0.9;
-    scfg.seed = 31;
-    auto stream = std::make_shared<SyntheticStream>(scfg);
+    auto stream = std::make_shared<SyntheticStream>(
+        timedSyntheticConfig(s.n, s.q, 31));
     auto src = [stream](ProcId p) -> std::optional<MemRef> {
         return stream->nextFor(p);
     };

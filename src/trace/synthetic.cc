@@ -21,6 +21,21 @@ mix64(std::uint64_t x)
 
 } // namespace
 
+SyntheticConfig
+timedSyntheticConfig(ProcId procs, double q, std::uint64_t seed)
+{
+    SyntheticConfig c;
+    c.numProcs = procs;
+    c.q = q;
+    c.w = 0.3;
+    c.sharedBlocks = 16;
+    c.privateBlocks = 96;
+    c.hotBlocks = 24;
+    c.sharedLocality = 0.9;
+    c.seed = seed;
+    return c;
+}
+
 SyntheticStream::SyntheticStream(const SyntheticConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.numProcs == 0)

@@ -82,6 +82,14 @@ struct SyntheticConfig
     std::uint64_t spaceBlocks = 0;
 };
 
+/**
+ * The timed tools' workload (trace_dump, bench_timed): shared writes
+ * at w = 0.3 over 16 shared blocks with locality 0.9, and a 96-block
+ * private set with a 24-block hot subset; q and the seed vary.
+ */
+SyntheticConfig timedSyntheticConfig(ProcId procs, double q,
+                                     std::uint64_t seed);
+
 /** Infinite merged-stream generator; round-robin across processors. */
 class SyntheticStream : public RefStream
 {
