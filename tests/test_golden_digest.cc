@@ -67,10 +67,11 @@ fixedWorkload(ProcId procs)
 std::uint64_t
 digestRun(TimedProto proto, bool perBlock, NetKind net,
           std::uint64_t dirRamBudget = 0, ProcId procs = 4,
-          bool snoop = false)
+          bool snoop = false, Tick thinkTime = 1)
 {
-    const TimedConfig cfg =
+    TimedConfig cfg =
         fixedConfig(proto, perBlock, net, dirRamBudget, procs, snoop);
+    cfg.thinkTime = thinkTime;
     SyntheticStream stream(fixedWorkload(procs));
 
     TimedSystem sys(cfg);
@@ -195,6 +196,19 @@ TEST(GoldenDigest, DirectedSchemesMatchCheckedInDigests)
             << c.name << ": digest 0x" << std::hex << got
             << " != golden 0x" << c.digest;
     }
+}
+
+// Two-bit at 16 processors with a think time beyond the event
+// kernel's 1024-tick ring: every issue waits in the overflow heap and
+// moves into the ring as time reaches it.  Captured from the four-level
+// timing wheel.
+TEST(GoldenDigest, FarThinkTimeMatchesCheckedInDigest)
+{
+    const std::uint64_t got = digestRun(TimedProto::TwoBit, true,
+                                        NetKind::Crossbar, 0, 16, false,
+                                        /*thinkTime=*/1500);
+    EXPECT_EQ(got, 0xc12c0fd6ecb36c95ULL)
+        << "digest 0x" << std::hex << got;
 }
 
 // A broadcast's copies that share a delivery tick are one dispatch,
