@@ -7,27 +7,29 @@
  * in FIFO order of scheduling, which makes runs bit-for-bit
  * deterministic regardless of scheduler internals.
  *
- * Internals (rewritten from a std::function + std::priority_queue
- * kernel; the golden digests in tests/test_golden_digest.cc pin that
- * the rewrite changed nothing observable):
+ * Internals (the golden digests in tests/test_golden_digest.cc pin
+ * that no rewrite of them changed anything observable):
  *
  *  - Events live in arena nodes recycled through a freelist, so the
  *    steady state performs no allocation per event.  Callbacks are
  *    stored inline in the node (InlineFunction); a capture larger
  *    than the inline buffer falls back to the heap and is counted.
  *
- *  - Scheduling uses a hierarchical timing wheel: four levels of 64
- *    slots, level L spanning deltas below 64^(L+1) ticks, each with a
- *    64-bit occupancy bitmap so the next event is found with a rotate
- *    and a count-trailing-zeros instead of heap rebalancing.  Deltas
- *    of 64^4 ticks or more wait in a small (when, seq) min-heap and
- *    migrate into the wheel as time approaches.
+ *  - Scheduling uses one ring of ringSlots single-tick slots and a
+ *    (when, seq) min-heap.  An event less than ringSlots ticks ahead
+ *    is appended to slot `when mod ringSlots`; every other event waits
+ *    in the heap.  Every ring node thus satisfies
+ *    now <= when < now + ringSlots, so a slot holds one tick only.  An
+ *    occupancy bitmap with a one-word summary finds the next occupied
+ *    slot with a rotate and a count-trailing-zeros.
  *
- *  - FIFO order within a tick is preserved exactly: slot lists append
- *    in schedule order, and because a bucket cascade can interleave an
- *    early-scheduled event behind a later direct insert, each drained
- *    slot is verified (and, rarely, re-sorted) by sequence number
- *    before firing.
+ *  - FIFO order within a tick holds by construction.  Whenever now()
+ *    moves, every heap node less than ringSlots ticks ahead migrates
+ *    to its slot, in (when, seq) order, before any callback runs.  A
+ *    heap node at tick t was scheduled while now <= t - ringSlots, and
+ *    a direct insert at t needs now > t - ringSlots, so the heap node
+ *    has the lower seq and is in the slot before the direct insert
+ *    appends behind it.
  *
  *  - runUntil() executes strictly below a horizon and nextTickExact()
  *    reports the earliest pending tick, so a caller (the telemetry
@@ -44,6 +46,7 @@
 #define DIR2B_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -69,7 +72,12 @@ class EventQueue
 
     using Callback = InlineFunction<inlineBytes>;
 
-    EventQueue() { arena_.reserve(1024); }
+    EventQueue()
+    {
+        arena_.reserve(1024);
+        head_.fill(nil);
+        tail_.fill(nil);
+    }
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -136,14 +144,7 @@ class EventQueue
     run(std::uint64_t maxEvents = ~0ULL)
     {
         std::uint64_t budget = maxEvents;
-        while (pending_ != counted_) {
-            advance<false>(0);
-            if (!drainCurrentSlot(budget))
-                return false;
-        }
-        for (RingFifo<Tick> &q : lanes_)
-            retire(q, maxTick);
-        return true;
+        return runUntil(maxTick, budget);
     }
 
     /**
@@ -156,8 +157,11 @@ class EventQueue
     runUntil(Tick horizon, std::uint64_t &budget)
     {
         while (pending_ != counted_) {
-            if (!advance<true>(horizon))
+            const Tick next = std::min(nextRingTick(), heapTop());
+            if (next >= horizon)
                 break; // nothing real left below the horizon
+            now_ = next;
+            migrate();
             if (!drainCurrentSlot(budget))
                 return false;
         }
@@ -166,87 +170,33 @@ class EventQueue
         return true;
     }
 
-    /**
-     * The *exact* when of the earliest pending event (maxTick when the
-     * queue is empty).  A level >= 1 bucket's start is only a lower
-     * bound on its contents, so this walks the node lists of the
-     * candidate buckets whose start beats the best exact candidate
-     * and returns the true minimum.  On dense runs the level-0
-     * candidate wins immediately and no list is walked.
-     */
+    /** The exact when of the earliest pending event (maxTick when the
+     *  queue is empty). */
     Tick
     nextTickExact() const
     {
-        if (pending_ == 0)
-            return maxTick;
-        Tick best = maxTick;
-        if (!over_.empty())
-            best = arena_[over_.front()].when;
+        Tick best = std::min(nextRingTick(), heapTop());
         for (const RingFifo<Tick> &q : lanes_) {
             if (!q.empty())
                 best = std::min(best, q[0]);
         }
-        if (levels_[0].occ) {
-            const auto curSlot =
-                static_cast<unsigned>(now_ & (slotCount - 1));
-            const unsigned d = static_cast<unsigned>(
-                std::countr_zero(
-                    std::rotr(levels_[0].occ, curSlot)));
-            best = std::min(best, now_ + d);
-        }
-        for (unsigned lv = 1; lv < levelCount; ++lv) {
-            if (!levels_[lv].occ)
-                continue;
-            const Tick cur = now_ >> (slotBits * lv);
-            const auto curSlot = static_cast<unsigned>(
-                cur & (slotCount - 1));
-            std::uint64_t bits = levels_[lv].occ;
-            while (bits) {
-                const auto slot = static_cast<unsigned>(
-                    std::countr_zero(bits));
-                bits &= bits - 1;
-                const unsigned d = (slot - curSlot) & (slotCount - 1);
-                const Tick start =
-                    d == 0 ? now_ : (cur + d) << (slotBits * lv);
-                if (start >= best)
-                    continue;
-                for (std::uint32_t n = levels_[lv].head[slot];
-                     n != nil; n = arena_[n].next)
-                    best = std::min(best, arena_[n].when);
-            }
-        }
-        DIR2B_ASSERT(best >= now_, "exact bound behind now");
+        DIR2B_ASSERT(best >= now_, "next tick behind now");
         return best;
     }
 
-    /** Drop all pending events (end of a run). */
-    void
-    reset()
-    {
-        arena_.clear(); // destroys pending callbacks
-        freeHead_ = nil;
-        over_.clear();
-        for (Level &lv : levels_) {
-            lv.occ = 0;
-            lv.head.assign(slotCount, nil);
-            lv.tail.assign(slotCount, nil);
-        }
-        lanes_.clear();
-        now_ = 0;
-        seq_ = 0;
-        executed_ = 0;
-        pending_ = 0;
-        counted_ = 0;
-        dispatched_ = 0;
-    }
-
   private:
-    static constexpr unsigned slotBits = 6;
-    static constexpr std::size_t slotCount = 1u << slotBits;
-    static constexpr unsigned levelCount = 4;
-    /** Deltas at or beyond 64^4 ticks wait in the overflow heap. */
-    static constexpr Tick horizon = Tick{1}
-                                    << (slotBits * levelCount);
+    /**
+     * Ticks the ring spans, one slot per tick.  Measured delays
+     * (when - now) of the timed tier at 64 processors and 16 modules:
+     * dir2bsim --timed --q 0.2 on the crossbar never reached 128 (tb)
+     * or 64 (fm), every cell of bench_timed --quick stayed below 128,
+     * and trace_dump's bus run peaked at 256-511 ticks (2.7% of its
+     * events).  Only long think times and far test spans reach the
+     * heap.
+     */
+    static constexpr std::size_t ringSlots = 1024;
+    static constexpr std::size_t occWords = ringSlots / 64;
+    static_assert(occWords == 16, "summary_ holds one bit per word");
     static constexpr std::uint32_t nil = ~std::uint32_t{0};
 
     struct Node
@@ -256,15 +206,6 @@ class EventQueue
         std::uint32_t next = nil;
         std::uint32_t weight = 1;
         Callback cb;
-    };
-
-    struct Level
-    {
-        std::vector<std::uint32_t> head =
-            std::vector<std::uint32_t>(slotCount, nil);
-        std::vector<std::uint32_t> tail =
-            std::vector<std::uint32_t>(slotCount, nil);
-        std::uint64_t occ = 0;
     };
 
     /** Retire lane q's count-only events below tick `before`. */
@@ -298,28 +239,14 @@ class EventQueue
         freeHead_ = idx;
     }
 
-    /**
-     * File a node into its wheel slot (or the overflow heap).
-     *
-     * An event goes to the smallest level whose digits above it agree
-     * between when and now_ (the "same cycle" rule).  Picking the
-     * level from the raw delta instead would wrap: a delta just under
-     * 64^4 that crosses enough digit boundaries lands a full cycle
-     * ahead in the CURRENT level-3 bucket.  With the prefix rule an
-     * occupied slot is always strictly ahead of now_ within its
-     * cycle, so circular bitmap distances are exact.
-     */
+    /** Append a node to its ring slot if it is less than ringSlots
+     *  ticks ahead, else push it on the heap. */
     void
     placeNode(std::uint32_t idx)
     {
         Node &n = arena_[idx];
         n.next = nil;
-        unsigned level = 0;
-        while (level < levelCount &&
-               (n.when >> (slotBits * (level + 1))) !=
-                   (now_ >> (slotBits * (level + 1))))
-            ++level;
-        if (level == levelCount) {
+        if (n.when - now_ >= ringSlots) {
             over_.push_back(idx);
             std::push_heap(over_.begin(), over_.end(),
                            [this](std::uint32_t a, std::uint32_t b) {
@@ -327,19 +254,33 @@ class EventQueue
                            });
             return;
         }
-        const auto slot = static_cast<std::size_t>(
-            (n.when >> (slotBits * level)) & (slotCount - 1));
-        Level &lv = levels_[level];
-        if (lv.tail[slot] == nil) {
-            lv.head[slot] = idx;
-        } else {
-            arena_[lv.tail[slot]].next = idx;
-        }
-        lv.tail[slot] = idx;
-        lv.occ |= std::uint64_t{1} << slot;
+        const auto slot = static_cast<std::size_t>(n.when & (ringSlots - 1));
+        if (tail_[slot] == nil)
+            head_[slot] = idx;
+        else
+            arena_[tail_[slot]].next = idx;
+        tail_[slot] = idx;
+        markOccupied(slot);
     }
 
-    /** Overflow-heap ordering: true if a fires after b. */
+    /** Move every heap node now less than ringSlots ticks ahead into
+     *  its slot, in (when, seq) order. */
+    void
+    migrate()
+    {
+        while (!over_.empty() &&
+               arena_[over_.front()].when - now_ < ringSlots) {
+            std::pop_heap(over_.begin(), over_.end(),
+                          [this](std::uint32_t a, std::uint32_t b) {
+                              return laterThan(a, b);
+                          });
+            const std::uint32_t idx = over_.back();
+            over_.pop_back();
+            placeNode(idx);
+        }
+    }
+
+    /** Heap ordering: true if a fires after b. */
     bool
     laterThan(std::uint32_t a, std::uint32_t b) const
     {
@@ -350,214 +291,114 @@ class EventQueue
         return na.seq > nb.seq;
     }
 
-    /** Detach and clear slot `slot` of level `level`. */
-    std::uint32_t
-    detachSlot(unsigned level, std::size_t slot)
+    Tick
+    heapTop() const
     {
-        Level &lv = levels_[level];
-        const std::uint32_t head = lv.head[slot];
-        lv.head[slot] = nil;
-        lv.tail[slot] = nil;
-        lv.occ &= ~(std::uint64_t{1} << slot);
+        return over_.empty() ? maxTick : arena_[over_.front()].when;
+    }
+
+    /** Tick of the first occupied slot at or after now_'s, or maxTick
+     *  when the ring is empty. */
+    Tick
+    nextRingTick() const
+    {
+        if (!summary_)
+            return maxTick;
+        const auto cur = static_cast<unsigned>(now_ & (ringSlots - 1));
+        unsigned word = cur / 64;
+        std::uint64_t bits = occ_[word] & (~std::uint64_t{0} << cur % 64);
+        if (!bits) {
+            // The next occupied word after this one; wrapping round to
+            // this word itself finds its slots below cur.
+            const unsigned from = (word + 1) % occWords;
+            const auto skip = static_cast<unsigned>(std::countr_zero(
+                std::rotr(summary_, static_cast<int>(from))));
+            word = (from + skip) % occWords;
+            bits = occ_[word];
+        }
+        const unsigned slot =
+            word * 64 + static_cast<unsigned>(std::countr_zero(bits));
+        return now_ + ((slot - cur) & (ringSlots - 1));
+    }
+
+    void
+    markOccupied(std::size_t slot)
+    {
+        occ_[slot / 64] |= std::uint64_t{1} << slot % 64;
+        summary_ |= static_cast<std::uint16_t>(1u << slot / 64);
+    }
+
+    /** Detach and clear a ring slot; returns its list head. */
+    std::uint32_t
+    detachSlot(std::size_t slot)
+    {
+        const std::uint32_t head = head_[slot];
+        head_[slot] = nil;
+        tail_[slot] = nil;
+        std::uint64_t &word = occ_[slot / 64];
+        word &= ~(std::uint64_t{1} << slot % 64);
+        if (!word)
+            summary_ &= static_cast<std::uint16_t>(~(1u << slot / 64));
         return head;
     }
 
-    struct Candidate
-    {
-        Tick when;
-        int level;
-    };
-
     /**
-     * The earliest jump candidate: a level-0 slot gives an exact time
-     * (level-0 deltas are < 64, so circular distance is absolute),
-     * while a level>=1 bucket gives only its start — a lower bound on
-     * everything in it — and the overflow top is exact.  Requires
-     * pending_ > 0.
-     */
-    Candidate
-    minCandidate() const
-    {
-        Tick best = ~Tick{0};
-        int bestLevel = -1;
-        if (!over_.empty()) {
-            best = arena_[over_.front()].when;
-            bestLevel = levelCount; // sentinel: jump-and-migrate
-        }
-        for (unsigned lv = levelCount - 1; lv >= 1; --lv) {
-            if (!levels_[lv].occ)
-                continue;
-            const Tick cur = now_ >> (slotBits * lv);
-            const auto curSlot = static_cast<unsigned>(
-                cur & (slotCount - 1));
-            const unsigned d = static_cast<unsigned>(
-                std::countr_zero(
-                    std::rotr(levels_[lv].occ, curSlot)));
-            // d == 0 (the current-digit bucket is occupied) can
-            // happen right after a jump that landed exactly on a
-            // bucket boundary via a different candidate; such a
-            // bucket must cascade before anything executes, so it
-            // bids now_ itself, the unbeatable minimum.
-            const Tick start =
-                d == 0 ? now_ : (cur + d) << (slotBits * lv);
-            if (start < best) {
-                best = start;
-                bestLevel = static_cast<int>(lv);
-            }
-        }
-        if (levels_[0].occ) {
-            const auto curSlot =
-                static_cast<unsigned>(now_ & (slotCount - 1));
-            const unsigned d = static_cast<unsigned>(
-                std::countr_zero(
-                    std::rotr(levels_[0].occ, curSlot)));
-            const Tick cand = now_ + d;
-            if (cand < best) {
-                best = cand;
-                bestLevel = 0;
-            }
-        }
-        DIR2B_ASSERT(bestLevel >= 0, "pending events but no slot");
-        DIR2B_ASSERT(best >= now_, "event queue time warp");
-        return {best, bestLevel};
-    }
-
-    /**
-     * Move now_ to the next event time, cascading higher-level
-     * buckets and migrating overflow nodes until the level-0 slot at
-     * now_ holds the earliest pending events.  Requires pending_ > 0.
-     *
-     * Correctness hinges on candidate selection (minCandidate): the
-     * jump target is the global minimum over exact times and bucket
-     * lower bounds, and a bucket chosen at its lower bound is cascaded
-     * and re-evaluated rather than executed, so a level-0 jump can
-     * never skip over an earlier event hiding in a bucket.
-     *
-     * Bounded (runUntil): returns false — with now_ strictly below
-     * the horizon — as soon as the candidate minimum reaches the
-     * horizon.  Cascades performed before that point only refine
-     * bucket bounds.  Returns true when positioned on a drainable
-     * level-0 slot.
-     */
-    template <bool Bounded>
-    bool
-    advance(Tick horizon)
-    {
-        for (;;) {
-            while (!over_.empty() &&
-                   (arena_[over_.front()].when >>
-                    (slotBits * levelCount)) ==
-                       (now_ >> (slotBits * levelCount))) {
-                std::pop_heap(over_.begin(), over_.end(),
-                              [this](std::uint32_t a, std::uint32_t b) {
-                                  return laterThan(a, b);
-                              });
-                const std::uint32_t idx = over_.back();
-                over_.pop_back();
-                placeNode(idx);
-            }
-
-            const Candidate c = minCandidate();
-            if (Bounded && c.when >= horizon)
-                return false;
-
-            now_ = c.when;
-            if (c.level == 0)
-                return true;
-            if (c.level == static_cast<int>(levelCount))
-                continue; // overflow top: migrate at new now_
-            // Cascade the chosen bucket into lower levels, in list
-            // order so equal-tick FIFO is preserved where possible.
-            const auto slot = static_cast<std::size_t>(
-                (now_ >> (slotBits * c.level)) & (slotCount - 1));
-            std::uint32_t n =
-                detachSlot(static_cast<unsigned>(c.level), slot);
-            while (n != nil) {
-                const std::uint32_t next = arena_[n].next;
-                placeNode(n);
-                n = next;
-            }
-        }
-    }
-
-    /**
-     * Fire the events in the level-0 slot at now_, re-checking the
-     * slot afterwards because zero-delay callbacks append to it.
+     * Fire the events in now_'s slot, re-checking the slot afterwards
+     * because zero-delay callbacks append to it.
      * @return false when the budget ran out (undrained nodes are
      *         reinserted ahead of any newly scheduled same-tick ones).
      */
     bool
     drainCurrentSlot(std::uint64_t &budget)
     {
-        const auto slot = static_cast<std::size_t>(now_ & (slotCount - 1));
-        while (levels_[0].occ >> slot & 1) {
-            scratch_.clear();
-            for (std::uint32_t n = detachSlot(0, slot); n != nil;
-                 n = arena_[n].next) {
-                DIR2B_ASSERT(arena_[n].when == now_,
-                             "level-0 slot holds foreign tick");
-                scratch_.push_back(n);
-            }
-            // A cascade can append an early-scheduled (low-seq) node
-            // behind a later direct insert; restore FIFO order.  The
-            // sortedness check keeps the common path linear.
-            if (!std::is_sorted(scratch_.begin(), scratch_.end(),
-                                [this](std::uint32_t a,
-                                       std::uint32_t b) {
-                                    return arena_[a].seq <
-                                           arena_[b].seq;
-                                })) {
-                std::sort(scratch_.begin(), scratch_.end(),
-                          [this](std::uint32_t a, std::uint32_t b) {
-                              return arena_[a].seq < arena_[b].seq;
-                          });
-            }
-            for (std::size_t i = 0; i < scratch_.size(); ++i) {
-                const std::uint32_t idx = scratch_[i];
+        const auto slot = static_cast<std::size_t>(now_ & (ringSlots - 1));
+        while (head_[slot] != nil) {
+            const std::uint32_t last = tail_[slot];
+            for (std::uint32_t idx = detachSlot(slot); idx != nil;) {
+                DIR2B_ASSERT(arena_[idx].when == now_,
+                             "ring slot holds foreign tick");
                 const std::uint32_t weight = arena_[idx].weight;
                 if (budget < weight) {
-                    reinsertUndrained(slot, i);
+                    reinsertUndrained(slot, idx, last);
                     return false;
                 }
                 budget -= weight;
+                const std::uint32_t next = arena_[idx].next;
                 Callback cb = std::move(arena_[idx].cb);
                 freeNode(idx);
                 pending_ -= weight;
                 executed_ += weight;
                 ++dispatched_;
                 cb();
+                idx = next;
             }
         }
         return true;
     }
 
-    /** Put scratch_[from..] back at the front of the given slot,
-     *  ahead of any same-tick events scheduled during the drain. */
+    /** Put the undrained list first..last back at the front of the
+     *  slot, ahead of any same-tick events scheduled during the drain. */
     void
-    reinsertUndrained(std::size_t slot, std::size_t from)
+    reinsertUndrained(std::size_t slot, std::uint32_t first,
+                      std::uint32_t last)
     {
-        std::uint32_t head = levels_[0].head[slot];
-        std::uint32_t tail = levels_[0].tail[slot];
-        for (std::size_t i = scratch_.size(); i-- > from;) {
-            const std::uint32_t idx = scratch_[i];
-            arena_[idx].next = head;
-            head = idx;
-            if (tail == nil)
-                tail = idx;
-        }
-        levels_[0].head[slot] = head;
-        levels_[0].tail[slot] = tail;
-        if (head != nil)
-            levels_[0].occ |= std::uint64_t{1} << slot;
+        arena_[last].next = head_[slot];
+        if (head_[slot] == nil)
+            tail_[slot] = last;
+        head_[slot] = first;
+        markOccupied(slot);
     }
 
     std::vector<Node> arena_;
     std::uint32_t freeHead_ = nil;
-    Level levels_[levelCount];
-    /** Min-heap (by when, then seq) of beyond-horizon node indices. */
+    /** Each ring slot's node list, first and last. */
+    std::array<std::uint32_t, ringSlots> head_;
+    std::array<std::uint32_t, ringSlots> tail_;
+    /** Occupied slots, one bit each, and the nonzero words of occ_. */
+    std::array<std::uint64_t, occWords> occ_{};
+    std::uint16_t summary_ = 0;
+    /** Min-heap (by when, then seq) of nodes ringSlots or more ahead. */
     std::vector<std::uint32_t> over_;
-    /** Drain batch reused across ticks. */
-    std::vector<std::uint32_t> scratch_;
     /** Pending count-only events, one tick-ordered FIFO per lane. */
     std::vector<RingFifo<Tick>> lanes_;
     Tick now_ = 0;
