@@ -14,9 +14,9 @@
  * spaces far larger than RAM still fit: under a RAM budget, cold pages
  * are run-length compressed in place (directory pages are almost
  * always homogeneous Absent or Present1) and the coldest spill to an
- * anonymous disk segment.  With the default unlimited budget the store
- * behaves exactly like the previous PagedArray — a cached page probe
- * plus a shift/mask — and either way the get/set semantics are
+ * anonymous disk segment.  With the default unlimited budget every
+ * page stays raw, so a lookup is a cached page probe plus a
+ * shift/mask, and either way the get/set semantics are
  * bit-identical, so every protocol, the model checker and the timed
  * tier are oblivious to the tiering.  bitsPerBlock() still exposes the
  * true hardware cost.

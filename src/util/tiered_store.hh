@@ -3,14 +3,19 @@
  * Tiered sparse array: hot raw pages, cold compressed pages, coldest
  * pages spilled to an anonymous on-disk segment.
  *
- * PagedArray made the two-bit directory sparse; this container makes it
- * survive address spaces far larger than RAM, carrying the paper's
- * economy argument (2 bits per block instead of n+1) to its logical
- * conclusion.  Three tiers, all behind PagedArray's get/ref interface:
+ * The store is a dense array indexed by a 64-bit position whose pages
+ * of 2^PageBits elements materialise on first write: get() of a never
+ * written position returns a value-initialised T without allocating,
+ * and ref() allocates the page, zero-filled, on demand.  That keeps the
+ * two-bit directory sparse and lets it survive address spaces far
+ * larger than RAM, carrying the paper's economy argument (2 bits per
+ * block instead of n+1) to its logical conclusion.  Three tiers, all
+ * behind the one get/ref interface:
  *
- *  - **Hot**: raw zero-initialised pages, exactly like PagedArray.  A
- *    one-entry inline cache makes the repeated-touch common case one
- *    compare plus an indexed load.
+ *  - **Hot**: raw zero-initialised pages, found through a hash map
+ *    from position >> PageBits to the page's record.  A one-entry
+ *    inline cache makes the repeated-touch common case one compare
+ *    plus an indexed load.
  *  - **Cold**: pages demoted from the hot tier by a clock
  *    (second-chance) sweep when the RAM budget is exceeded, compressed
  *    in place with run-length encoding.  Directory pages are almost
@@ -25,8 +30,8 @@
  *    file the store degrades gracefully: blobs stay compressed in RAM
  *    and the overrun is counted, never hidden.
  *
- * A budget of 0 (the default) disables demotion entirely, making the
- * store behave exactly like PagedArray.  All tier movement is fully
+ * A budget of 0 (the default) disables demotion entirely: every
+ * materialised page stays hot and raw.  All tier movement is fully
  * deterministic — driven only by the access sequence, never by clocks
  * or randomness — so simulations are bit-identical at any budget.
  *
@@ -66,9 +71,9 @@
  * outnumber the live ones, so the queue stays within about twice the
  * cold page count.
  *
- * Like PagedArray, the store is not thread-safe: reads promote pages
- * and so mutate internal state (get() is const for drop-in
- * compatibility).  References returned by ref() are valid only until
+ * The store is not thread-safe: reads promote pages and so mutate
+ * internal state, although get() is const so that read-only callers
+ * can hold a const store.  References returned by ref() are valid only until
  * the next store operation, which may demote the page.
  */
 
@@ -267,7 +272,7 @@ class TieredStore
     T
     get(std::uint64_t idx) const
     {
-        // Promotion mutates tier state; const for PagedArray drop-in.
+        // Promotion mutates tier state; const for read-only callers.
         return const_cast<TieredStore *>(this)->getMut(idx);
     }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the hot-path storage primitives: FlatMap/FlatSet (open
- * addressing with backward-shift deletion), PagedArray, and the
- * InlineFunction event callback.
+ * addressing with backward-shift deletion) and the InlineFunction event
+ * callback.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "util/flat_map.hh"
 #include "util/inline_function.hh"
-#include "util/paged_array.hh"
 #include "util/random.hh"
 
 namespace dir2b
@@ -207,41 +206,6 @@ TEST(FlatSet, InsertEraseContains)
     EXPECT_TRUE(s.erase(5));
     EXPECT_FALSE(s.contains(5));
     EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(PagedArray, SparseDefaultAndMaterialisation)
-{
-    PagedArray<std::uint32_t, 8> arr; // 256 elements per page
-    EXPECT_EQ(arr.get(12345), 0u);
-    EXPECT_EQ(arr.pageCount(), 0u);
-
-    arr.ref(12345) = 7;
-    EXPECT_EQ(arr.get(12345), 7u);
-    EXPECT_EQ(arr.pageCount(), 1u);
-
-    // Same page: no new materialisation; neighbours still default.
-    arr.ref(12346) = 8;
-    EXPECT_EQ(arr.pageCount(), 1u);
-    EXPECT_EQ(arr.get(12344), 0u);
-
-    // Distant index: second page.
-    arr.ref(1u << 20) = 9;
-    EXPECT_EQ(arr.pageCount(), 2u);
-    EXPECT_EQ(arr.get(12345), 7u);
-    EXPECT_EQ(arr.get(1u << 20), 9u);
-}
-
-TEST(PagedArray, ManyPagesStress)
-{
-    PagedArray<std::uint64_t, 4> arr; // tiny 16-element pages
-    for (std::uint64_t i = 0; i < 4096; i += 3)
-        arr.ref(i) = i * 2 + 1;
-    for (std::uint64_t i = 0; i < 4096; ++i) {
-        if (i % 3 == 0)
-            EXPECT_EQ(arr.get(i), i * 2 + 1);
-        else
-            EXPECT_EQ(arr.get(i), 0u);
-    }
 }
 
 TEST(InlineFunction, InvokesAndMoves)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 #include <iomanip>
 #include <iterator>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "timed/timed_oracle.hh"
@@ -247,14 +249,19 @@ TEST(TimedSystem, SnoopFilterSplitsEachCachesCommandsExactly)
               filtered->network().stats().messages.value());
 }
 
+// gtest prints the parameter's bytes into each test's name, so every
+// field is four or eight bytes wide and the struct has no padding:
+// padding bytes are uninitialised and would change the names from
+// build to build.
 struct TimedParam
 {
     TimedProto proto;
-    bool perBlock;
-    bool snoop;
+    std::uint32_t perBlock;
+    std::uint32_t snoop;
     NetKind net;
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TimedParam>);
 
 class TimedProperty : public ::testing::TestWithParam<TimedParam>
 {
@@ -266,8 +273,8 @@ TEST_P(TimedProperty, RandomTrafficStaysCoherent)
     TimedConfig cfg = config(4, 8, 2);
     cfg.numModules = 3;
     cfg.protocol = prm.proto;
-    cfg.perBlockConcurrency = prm.perBlock;
-    cfg.snoopFilter = prm.snoop;
+    cfg.perBlockConcurrency = prm.perBlock != 0;
+    cfg.snoopFilter = prm.snoop != 0;
     cfg.network = prm.net;
     TimedSystem sys(cfg);
 
