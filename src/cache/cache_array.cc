@@ -1,5 +1,7 @@
 #include "cache/cache_array.hh"
 
+#include <algorithm>
+
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -9,8 +11,7 @@ namespace dir2b
 CacheArray::CacheArray(const CacheGeometry &geom)
     : geom_(geom),
       lines_(geom.sets * geom.ways),
-      repl_(makeReplacementPolicy(geom.repl, geom.sets, geom.ways,
-                                  geom.seed))
+      stamp_(geom.sets * geom.ways, 0)
 {
     if (!isPowerOf2(geom_.sets))
         DIR2B_FATAL("cache sets (", geom_.sets,
@@ -50,7 +51,7 @@ CacheArray::lookup(Addr a, bool touch)
     if (!way)
         return nullptr;
     if (touch)
-        repl_->touch(set, *way);
+        use(set * geom_.ways + *way);
     return &line(set, *way);
 }
 
@@ -67,11 +68,14 @@ CacheArray::victimFor(Addr a)
     const std::size_t set = setIndex(a);
     DIR2B_ASSERT(!findWay(set, a),
                  "victimFor() on a block that is already resident");
-    for (std::size_t w = 0; w < geom_.ways; ++w) {
-        if (!line(set, w).valid())
-            return line(set, w);
+    // The first way with the least stamp (see stamp_).
+    const std::size_t first = set * geom_.ways;
+    std::size_t best = first;
+    for (std::size_t i = first + 1; i < first + geom_.ways; ++i) {
+        if (stamp_[i] < stamp_[best])
+            best = i;
     }
-    return line(set, repl_->victim(set));
+    return lines_[best];
 }
 
 CacheLine &
@@ -85,7 +89,7 @@ CacheArray::fill(Addr a, LineState state, Value value)
         CacheLine &l = line(set, *way);
         l.state = state;
         l.value = value;
-        repl_->touch(set, *way);
+        use(set * geom_.ways + *way);
         return l;
     }
 
@@ -95,8 +99,7 @@ CacheArray::fill(Addr a, LineState state, Value value)
     frame.addr = a;
     frame.state = state;
     frame.value = value;
-    const auto way = static_cast<std::size_t>(&frame - &line(set, 0));
-    repl_->install(set, way);
+    use(static_cast<std::size_t>(&frame - lines_.data()));
     return frame;
 }
 
@@ -108,6 +111,7 @@ CacheArray::invalidate(Addr a)
         return false;
     l->state = LineState::Invalid;
     l->addr = invalidAddr;
+    stamp_[static_cast<std::size_t>(l - lines_.data())] = 0;
     return true;
 }
 
@@ -139,6 +143,7 @@ CacheArray::flush()
         l.state = LineState::Invalid;
         l.addr = invalidAddr;
     }
+    std::fill(stamp_.begin(), stamp_.end(), 0);
 }
 
 } // namespace dir2b

@@ -6,36 +6,32 @@
  * Figure 3-1: tags, local state bits (valid/modified and protocol
  * extensions) and the modelled block contents.  Protocol logic lives in
  * the controllers; the array only answers lookups, applies fills and
- * evictions, and keeps replacement metadata.
+ * evictions, and keeps each line's LRU recency: a miss evicts the
+ * least recently used block of its set.
  */
 
 #ifndef DIR2B_CACHE_CACHE_ARRAY_HH
 #define DIR2B_CACHE_CACHE_ARRAY_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "cache/cache_types.hh"
-#include "cache/replacement.hh"
 #include "util/types.hh"
 
 namespace dir2b
 {
 
-/** Geometry and policy of one cache. */
+/** Geometry of one cache. */
 struct CacheGeometry
 {
     /** Number of sets; must be a power of two. */
     std::size_t sets = 32;
     /** Associativity. */
     std::size_t ways = 4;
-    /** Replacement policy. */
-    ReplPolicyKind repl = ReplPolicyKind::Lru;
-    /** Seed for the random policy. */
-    std::uint64_t seed = 1;
 
     std::size_t blocks() const { return sets * ways; }
 };
@@ -48,17 +44,18 @@ class CacheArray
 
     /**
      * Find the line holding block a.
-     * @param touch update replacement recency on hit
+     * @param touch make the line most recently used on hit
      * @return pointer into the array, or nullptr on miss
      */
     CacheLine *lookup(Addr a, bool touch = true);
     const CacheLine *peek(Addr a) const;
 
     /**
-     * Choose the frame that block a would occupy: an invalid way if one
-     * exists, otherwise the replacement victim.  Does not modify the
-     * array; the caller inspects the returned line (possibly a valid
-     * victim needing eviction) and then calls fill().
+     * Choose the frame that block a would occupy: the lowest-index
+     * invalid way if one exists, otherwise the least recently used
+     * way.  Does not modify the array; the caller inspects the
+     * returned line (possibly a valid victim needing eviction) and
+     * then calls fill().
      */
     CacheLine &victimFor(Addr a);
 
@@ -89,10 +86,17 @@ class CacheArray
     CacheLine &line(std::size_t set, std::size_t way);
     const CacheLine &line(std::size_t set, std::size_t way) const;
     std::optional<std::size_t> findWay(std::size_t set, Addr a) const;
+    /** Make lines_[i] the most recently used line of its set. */
+    void use(std::size_t i) { stamp_[i] = ++clock_; }
 
     CacheGeometry geom_;
     std::vector<CacheLine> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    /** Per line: the clock at its last fill or touching lookup, or 0
+     *  while the line is invalid.  Valid lines' stamps are distinct
+     *  and at least 1, so a set's first minimum-stamp way is its
+     *  lowest invalid way if it has one and its LRU way otherwise. */
+    std::vector<std::uint64_t> stamp_;
+    std::uint64_t clock_ = 0;
 };
 
 } // namespace dir2b

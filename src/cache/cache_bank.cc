@@ -8,19 +8,38 @@
 namespace dir2b
 {
 
+namespace
+{
+
+/** The bank's line count, n x geom.blocks().  Fatal, before anything
+ *  is allocated, unless it and n are below 2^31, the holder index's
+ *  limit.  No product below wraps: each factor is at most 2^31 by the
+ *  time it is multiplied. */
+std::size_t
+bankLines(ProcId n, const CacheGeometry &geom)
+{
+    constexpr std::size_t limit = std::size_t{1} << 31;
+    if (n >= limit || geom.sets > limit || geom.ways > limit ||
+        geom.sets * geom.ways > limit ||
+        n * (geom.sets * geom.ways) >= limit) {
+        DIR2B_FATAL("cache geometry too large: ", n, " processors x ",
+                    geom.sets, " sets x ", geom.ways,
+                    " ways; the holder index takes fewer than 2^31 "
+                    "lines and processors");
+    }
+    return n * geom.blocks();
+}
+
+} // namespace
+
 CacheBank::CacheBank(ProcId n, const CacheGeometry &geom, bool indexed)
     : indexed_(indexed),
       wordsPerBlock_((std::size_t{n} + 63) / 64),
-      lines_(std::size_t{n} * geom.blocks())
+      lines_(bankLines(n, geom))
 {
     arrays_.reserve(n);
-    for (ProcId p = 0; p < n; ++p) {
-        CacheGeometry g = geom;
-        g.seed = g.seed * 0x9e3779b9ULL + p + 1;
-        arrays_.emplace_back(g);
-    }
-    DIR2B_ASSERT(lines_ < soleTag && n < soleTag,
-                 "holder index limited to 2^31 lines and processors");
+    for (ProcId p = 0; p < n; ++p)
+        arrays_.emplace_back(geom);
 }
 
 void

@@ -48,9 +48,9 @@ namespace dir2b
 class CacheBank
 {
   public:
-    /** n arrays of geometry geom; array p's replacement seed is
-     *  derived from geom.seed and p.  A bank built without `indexed`
-     *  keeps no holder index, so only its arrays may be read. */
+    /** n arrays of geometry geom, fewer than 2^31 lines in all (fatal
+     *  otherwise).  A bank built without `indexed` keeps no holder
+     *  index, so only its arrays may be read. */
     CacheBank(ProcId n, const CacheGeometry &geom, bool indexed = true);
 
     /** Read-only view of cache p (bounds-checked). */

@@ -203,15 +203,6 @@ class FlatMap
         }
     }
 
-    /** Insert or overwrite. */
-    void
-    insertOrAssign(K key, V value)
-    {
-        auto [it, fresh] = tryEmplace(key, std::move(value));
-        if (!fresh)
-            it->second = std::move(value);
-    }
-
     /** Erase by key; returns true if an entry was removed. */
     bool
     erase(K key)
@@ -415,26 +406,6 @@ class FlatMap
     Slot *slots_ = nullptr;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
-};
-
-/** Open-addressing set of integral keys, built on FlatMap. */
-template <typename K>
-class FlatSet
-{
-    struct Empty
-    {};
-
-  public:
-    void insert(K key) { map_.tryEmplace(key); }
-    bool erase(K key) { return map_.erase(key); }
-    std::size_t count(K key) const { return map_.count(key); }
-    bool contains(K key) const { return map_.contains(key); }
-    std::size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-    void clear() { map_.clear(); }
-
-  private:
-    FlatMap<K, Empty> map_;
 };
 
 } // namespace dir2b

@@ -137,13 +137,13 @@ TEST(EventQueue, AcceptsMoveOnlyCallbacks)
     EXPECT_EQ(seen, 42);
 }
 
-TEST(EventQueue, CascadeRestoresFifoAgainstDirectInserts)
+TEST(EventQueue, MigratedHeapEventPrecedesDirectInsert)
 {
-    // Event A is scheduled far ahead (lands in a level>=1 bucket);
-    // event B is scheduled later for the SAME tick from close range
-    // (direct level-0 insert).  When A's bucket cascades it appends
-    // behind B, so the kernel must re-sort the slot by sequence
-    // number: A was scheduled first and must fire first.
+    // Event A is scheduled from tick 0 for tick 5000, more than
+    // ringSlots ahead, so it waits in the heap; event B is scheduled
+    // later for the SAME tick from tick 4990, close enough to go
+    // straight into the ring slot.  A must migrate into that slot
+    // before B's insert: A was scheduled first and must fire first.
     EventQueue eq;
     std::vector<char> order;
     eq.scheduleAt(5000, [&] { order.push_back('A'); });
@@ -156,8 +156,9 @@ TEST(EventQueue, CascadeRestoresFifoAgainstDirectInserts)
 
 TEST(EventQueue, StaticDifferentialAgainstStableSort)
 {
-    // Random times spanning every wheel level and the overflow tier;
-    // the kernel must fire them exactly in stable (when, seq) order.
+    // Random times from one tick to 2^30 ahead, in the ring, in the
+    // heap and on both sides of the ringSlots boundary; the kernel
+    // must fire them exactly in stable (when, seq) order.
     EventQueue eq;
     Rng rng(0xeafe11);
     std::vector<std::pair<Tick, int>> expect;
@@ -184,9 +185,10 @@ TEST(EventQueue, StaticDifferentialAgainstStableSort)
     EXPECT_EQ(eq.executed(), 2000u);
 }
 
-TEST(EventQueue, DynamicChainsAcrossAllLevels)
+TEST(EventQueue, DynamicChainsAcrossRingAndHeap)
 {
-    // Self-rescheduling chains with pseudo-random delays: time must
+    // Self-rescheduling chains with pseudo-random delays that land in
+    // the ring, in the heap and at the ringSlots boundary: time must
     // never go backwards and every event must be accounted for.
     EventQueue eq;
     Rng rng(0xc4a1);
@@ -350,12 +352,12 @@ TEST(EventQueue, RunUntilReportsBudgetExhaustion)
     EXPECT_EQ(eq.executed(), 2u);
 }
 
-TEST(EventQueue, NextTickExactSeesIntoBuckets)
+TEST(EventQueue, NextTickExactSeesRingAndHeap)
 {
-    // From now() == 0: ticks in [64, 4096) file into level 1, ticks in
-    // [2^18, 2^24) into level 3 and ticks >= 2^24 into the overflow
-    // heap.  A bucket's start (64, 2^18) is only a lower bound on its
-    // contents; nextTickExact() must report the true earliest tick.
+    // From now() == 0: ticks below ringSlots file into ring slots and
+    // later ticks into the heap.  Each pair below is scheduled latest
+    // first, in the heap and then in the ring; nextTickExact() must
+    // report the true earliest tick over both.
     EventQueue eq;
     const Tick overflowTick = (Tick{1} << 24) + 12345;
     const Tick level3Tick = (Tick{1} << 18) + 777;
@@ -365,8 +367,8 @@ TEST(EventQueue, NextTickExactSeesIntoBuckets)
     eq.scheduleAt(level3Tick, [] {});
     EXPECT_EQ(eq.nextTickExact(), level3Tick);
 
-    // Two events in one level-1 bucket, the later one first in its
-    // list: the minimum over the list, not the head, wins.
+    // Two ring events, the later one scheduled first: the earliest
+    // occupied slot, not the first event scheduled, wins.
     eq.scheduleAt(100, [] {});
     eq.scheduleAt(70, [] {});
     EXPECT_EQ(eq.nextTickExact(), 70u);

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the hot-path storage primitives: FlatMap/FlatSet (open
- * addressing with backward-shift deletion) and the InlineFunction event
- * callback.
+ * Tests for the hot-path storage primitives: FlatMap (open addressing
+ * with backward-shift deletion) and the InlineFunction event callback.
  */
 
 #include <gtest/gtest.h>
@@ -191,21 +190,6 @@ TEST(FlatMap, ReserveMeansNoRehash)
     // A smaller reserve never shrinks.
     m.reserve(10);
     EXPECT_EQ(m.capacityBytes(), cap);
-}
-
-TEST(FlatSet, InsertEraseContains)
-{
-    FlatSet<std::uint64_t> s;
-    s.insert(5);
-    s.insert(5);
-    s.insert(6);
-    EXPECT_EQ(s.size(), 2u);
-    EXPECT_TRUE(s.contains(5));
-    EXPECT_EQ(s.count(6), 1u);
-    EXPECT_FALSE(s.contains(7));
-    EXPECT_TRUE(s.erase(5));
-    EXPECT_FALSE(s.contains(5));
-    EXPECT_EQ(s.size(), 1u);
 }
 
 TEST(InlineFunction, InvokesAndMoves)

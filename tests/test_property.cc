@@ -92,7 +92,6 @@ TEST_P(ProtocolProperty, CoherentUnderWorkload)
     cfg.numProcs = 4;
     cfg.cacheGeom.sets = 8;
     cfg.cacheGeom.ways = 2;
-    cfg.cacheGeom.seed = seed;
     cfg.numModules = 3;
     cfg.tbCapacity = 16;
     cfg.biasCapacity = 8;

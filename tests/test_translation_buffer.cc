@@ -9,6 +9,7 @@
 #include "core/translation_buffer.hh"
 #include "core/two_bit_tb_protocol.hh"
 #include "trace/reference.hh"
+#include "util/random.hh"
 
 namespace dir2b
 {
