@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -157,16 +159,38 @@ TEST(TraceBinary, DestructorFinishes)
     reader.verify();
 }
 
+/** A record's 16 on-disk bytes, laid out from its fields as the
+ *  format defines them (little-endian addr, proc, flags). */
+void
+appendRecordBytes(std::vector<unsigned char> &out, const MemRef &r)
+{
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<unsigned char>(r.addr >> (8 * i)));
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<unsigned char>(r.proc >> (8 * i)));
+    out.push_back(r.write ? 1 : 0);
+    out.insert(out.end(), 3, 0);
+}
+
+/** Byte-at-a-time FNV-1a, written out independently of the writer. */
+std::uint64_t
+naiveFnv(const unsigned char *b, std::size_t n,
+         std::uint64_t h = 0xcbf29ce484222325ULL)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ b[i]) * 0x100000001b3ULL;
+    return h;
+}
+
 /** Property: the writer's digest equals a straight FNV-1a fold over
  *  the record bytes, independent of block capacity. */
 TEST(TraceBinary, DigestIndependentOfBlockSize)
 {
     const std::vector<MemRef> refs = someRefs(500, 7);
-    std::vector<TraceRecord> raw;
+    std::vector<unsigned char> bytes;
     for (const MemRef &r : refs)
-        raw.push_back(TraceRecord::fromRef(r));
-    const std::uint64_t want =
-        traceDigest(raw.data(), raw.size() * sizeof(TraceRecord));
+        appendRecordBytes(bytes, r);
+    const std::uint64_t want = naiveFnv(bytes.data(), bytes.size());
 
     for (const std::uint32_t blockRecords : {1u, 7u, 100u, 512u}) {
         TempTrace t("digest");
@@ -174,6 +198,43 @@ TEST(TraceBinary, DigestIndependentOfBlockSize)
         TraceReader reader(t.path());
         EXPECT_EQ(reader.header().fileDigest, want);
         EXPECT_EQ(reader.verify(), want);
+    }
+}
+
+/** Every block header's blockDigest (seeded fresh) and runningDigest
+ *  (chained from the file start), and the file header's fileDigest,
+ *  equal a naive FNV-1a over the records' bytes. */
+TEST(TraceBinary, BlockDigestsMatchNaiveFnv)
+{
+    // Every capacity above 1 ends in a partial tail block.
+    const std::pair<std::uint32_t, std::size_t> shapes[] = {
+        {1u, 50}, {7u, 1003}, {64u, 1003},
+        {traceDefaultBlockRecords, traceDefaultBlockRecords + 77}};
+    for (const auto &[blockRecords, n] : shapes) {
+        SCOPED_TRACE(blockRecords);
+        const std::vector<MemRef> refs = someRefs(n, 11);
+        std::vector<unsigned char> bytes;
+        for (const MemRef &r : refs)
+            appendRecordBytes(bytes, r);
+
+        TempTrace t("naive");
+        writeAll(t.path(), refs, blockRecords);
+        TraceReader reader(t.path());
+        ASSERT_EQ(reader.numBlocks(),
+                  (n + blockRecords - 1) / blockRecords);
+
+        std::uint64_t running = 0xcbf29ce484222325ULL;
+        for (std::size_t b = 0; b < reader.numBlocks(); ++b) {
+            const TraceBlockHeader &h = reader.blockHeader(b);
+            const unsigned char *p = bytes.data() + h.firstIndex * 16;
+            const std::size_t len = std::size_t{h.records} * 16;
+            EXPECT_EQ(h.blockDigest, naiveFnv(p, len)) << "block " << b;
+            running = naiveFnv(p, len, running);
+            EXPECT_EQ(h.runningDigest, running) << "block " << b;
+        }
+        EXPECT_EQ(reader.header().fileDigest,
+                  naiveFnv(bytes.data(), bytes.size()));
+        EXPECT_EQ(reader.verify(), reader.header().fileDigest);
     }
 }
 
@@ -258,6 +319,36 @@ TEST(TraceBinaryDeath, VerifyCatchesPayloadCorruption)
     clobber(t.path(), off, &junk, 1);
     TraceReader reader(t.path());
     EXPECT_DEATH(reader.verify(), "block 2 digest mismatch");
+}
+
+TEST(TraceBinaryDeath, VerifyCatchesRunningDigestMismatch)
+{
+    TempTrace t("running");
+    writeAll(t.path(), someRefs(64), 16);
+    // Block 1's payload and block digest stay intact; only the chain
+    // value in its header is wrong.
+    const std::uint64_t bogus = 0x1234;
+    const long off = static_cast<long>(
+        sizeof(TraceFileHeader) + sizeof(TraceBlockHeader) +
+        16 * sizeof(TraceRecord) +
+        offsetof(TraceBlockHeader, runningDigest));
+    clobber(t.path(), off, &bogus, sizeof(bogus));
+    TraceReader reader(t.path());
+    EXPECT_DEATH(reader.verify(), "block 1 running digest mismatch");
+}
+
+TEST(TraceBinaryDeath, VerifyCatchesFileDigestMismatch)
+{
+    TempTrace t("filedigest");
+    writeAll(t.path(), someRefs(64), 16);
+    // Every block checks out; only the header's whole-file digest is
+    // wrong.
+    const std::uint64_t bogus = 0x1234;
+    clobber(t.path(),
+            static_cast<long>(offsetof(TraceFileHeader, fileDigest)),
+            &bogus, sizeof(bogus));
+    TraceReader reader(t.path());
+    EXPECT_DEATH(reader.verify(), "file digest mismatch");
 }
 
 TEST(TraceBinaryDeath, RejectsBrokenBlockChain)
