@@ -1,5 +1,7 @@
 #include "trace/synthetic.hh"
 
+#include <utility>
+
 #include "util/logging.hh"
 
 namespace dir2b
@@ -19,6 +21,33 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** cfg, if a stream can run it; fatal otherwise. */
+const SyntheticConfig &
+checkedConfig(const SyntheticConfig &cfg)
+{
+    if (cfg.numProcs == 0)
+        DIR2B_FATAL("synthetic stream needs at least one processor");
+    const std::pair<const char *, double> probs[] = {
+        {"q", cfg.q},
+        {"w", cfg.w},
+        {"sharedLocality", cfg.sharedLocality},
+        {"hotFraction", cfg.hotFraction},
+        {"privateWriteFrac", cfg.privateWriteFrac}};
+    for (const auto &[name, p] : probs) {
+        // Written so that NaN fails too.
+        if (!(p >= 0.0 && p <= 1.0))
+            DIR2B_FATAL("synthetic stream probabilities must be in "
+                        "[0,1]: ", name, " is ", p);
+    }
+    if (cfg.sharedBlocks == 0)
+        DIR2B_FATAL("synthetic stream needs at least one shared block");
+    if (cfg.privateBlocks == 0)
+        DIR2B_FATAL("synthetic stream needs at least one private block");
+    if (cfg.hotBlocks > cfg.privateBlocks)
+        DIR2B_FATAL("hot subset larger than the private working set");
+    return cfg;
+}
+
 } // namespace
 
 SyntheticConfig
@@ -36,17 +65,12 @@ timedSyntheticConfig(ProcId procs, double q, std::uint64_t seed)
     return c;
 }
 
-SyntheticStream::SyntheticStream(const SyntheticConfig &cfg) : cfg_(cfg)
+SyntheticStream::SyntheticStream(const SyntheticConfig &cfg)
+    : cfg_(checkedConfig(cfg)), sharedBound_(cfg_.sharedBlocks),
+      hotBound_(cfg_.hotBlocks ? cfg_.hotBlocks : 1),
+      privateBound_(cfg_.privateBlocks),
+      spaceBound_(cfg_.spaceBlocks ? cfg_.spaceBlocks : 1)
 {
-    if (cfg_.numProcs == 0)
-        DIR2B_FATAL("synthetic stream needs at least one processor");
-    if (cfg_.q < 0.0 || cfg_.q > 1.0 || cfg_.w < 0.0 || cfg_.w > 1.0)
-        DIR2B_FATAL("synthetic stream probabilities must be in [0,1]");
-    if (cfg_.sharedBlocks == 0)
-        DIR2B_FATAL("synthetic stream needs at least one shared block");
-    if (cfg_.hotBlocks > cfg_.privateBlocks)
-        DIR2B_FATAL("hot subset larger than the private working set");
-
     Rng seeder(cfg_.seed);
     rngs_.reserve(cfg_.numProcs);
     for (ProcId p = 0; p < cfg_.numProcs; ++p)
@@ -61,7 +85,7 @@ SyntheticStream::scatter(Addr a) const
 {
     if (!cfg_.spaceBlocks)
         return a;
-    return static_cast<Addr>(mix64(a) % cfg_.spaceBlocks);
+    return static_cast<Addr>(spaceBound_.mod(mix64(a)));
 }
 
 MemRef
@@ -80,7 +104,7 @@ SyntheticStream::nextFor(ProcId p)
             rng.chance(cfg_.sharedLocality)) {
             a = lastShared_[p];
         } else {
-            a = sharedRegionBase + rng.range(cfg_.sharedBlocks);
+            a = sharedRegionBase + rng.range(sharedBound_);
         }
         lastShared_[p] = a;
         return MemRef{p, scatter(a), rng.chance(cfg_.w)};
@@ -89,9 +113,9 @@ SyntheticStream::nextFor(ProcId p)
     // Private block with two-level locality.
     Addr offset;
     if (cfg_.hotBlocks > 0 && rng.chance(cfg_.hotFraction))
-        offset = rng.range(cfg_.hotBlocks);
+        offset = rng.range(hotBound_);
     else
-        offset = rng.range(cfg_.privateBlocks);
+        offset = rng.range(privateBound_);
     const Addr a = scatter(privateRegionBase(p) + offset);
     return MemRef{p, a, rng.chance(cfg_.privateWriteFrac)};
 }
@@ -100,7 +124,8 @@ std::optional<MemRef>
 SyntheticStream::next()
 {
     const MemRef r = nextFor(turn_);
-    turn_ = static_cast<ProcId>((turn_ + 1) % cfg_.numProcs);
+    if (++turn_ == cfg_.numProcs)
+        turn_ = 0;
     return r;
 }
 

@@ -115,6 +115,13 @@ class SyntheticStream : public RefStream
     Addr scatter(Addr a) const;
 
     SyntheticConfig cfg_;
+    /** The draws' fixed bounds, precomputed so that a reference takes
+     *  no division.  hotBound_ and spaceBound_ hold 1 when their knob
+     *  is 0, and are then never used. */
+    RangeBound sharedBound_;
+    RangeBound hotBound_;
+    RangeBound privateBound_;
+    RangeBound spaceBound_;
     std::vector<Rng> rngs_;
     std::vector<Addr> lastShared_;
     ProcId turn_ = 0;

@@ -13,17 +13,6 @@
 namespace dir2b
 {
 
-std::uint64_t
-traceDigest(const void *p, std::size_t n, std::uint64_t h)
-{
-    const auto *b = static_cast<const std::uint8_t *>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= b[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 // ---------------------------------------------------------------- writer
 
 TraceWriter::TraceWriter(const std::string &path,
@@ -68,9 +57,9 @@ TraceWriter::flushBlock()
     h.magic = traceBlockMagic;
     h.records = static_cast<std::uint32_t>(buf_.size());
     h.firstIndex = totalRecords_;
-    h.blockDigest = traceDigest(buf_.data(), bytes);
-    runningDigest_ = traceDigest(buf_.data(), bytes, runningDigest_);
+    h.blockDigest = blockDigest_;
     h.runningDigest = runningDigest_;
+    blockDigest_ = traceDigestSeed;
 
     if (std::fwrite(&h, sizeof(h), 1, f_) != 1 ||
         std::fwrite(buf_.data(), 1, bytes, f_) != bytes)
@@ -214,15 +203,14 @@ TraceReader::verify() const
     std::uint64_t running = traceDigestSeed;
     for (std::size_t b = 0; b < blocks_.size(); ++b) {
         const TraceBlockHeader *h = blocks_[b];
-        const std::size_t bytes =
-            std::size_t{h->records} * sizeof(TraceRecord);
-        const std::uint64_t blockDigest = traceDigest(h + 1, bytes);
+        std::uint64_t blockDigest = traceDigestSeed;
+        for (const TraceRecord &rec : block(b))
+            traceDigestRecord(rec, blockDigest, running);
         if (blockDigest != h->blockDigest)
             DIR2B_FATAL("trace '", path_, "': block ", b,
                         " digest mismatch (payload corrupt): 0x",
                         std::hex, blockDigest, " != 0x",
                         h->blockDigest);
-        running = traceDigest(h + 1, bytes, running);
         if (running != h->runningDigest)
             DIR2B_FATAL("trace '", path_, "': block ", b,
                         " running digest mismatch");

@@ -5,12 +5,26 @@
 namespace dir2b
 {
 
-Workload::Workload(const WorkloadConfig &cfg) : cfg_(cfg)
+namespace
 {
-    if (cfg_.numProcs == 0)
+
+/** cfg, if a workload can run it; fatal otherwise. */
+const WorkloadConfig &
+checkedConfig(const WorkloadConfig &cfg)
+{
+    if (cfg.numProcs == 0)
         DIR2B_FATAL("workload needs at least one processor");
-    if (cfg_.sharedBlocks == 0)
+    if (cfg.sharedBlocks == 0)
         DIR2B_FATAL("workload needs at least one shared block");
+    return cfg;
+}
+
+} // namespace
+
+Workload::Workload(const WorkloadConfig &cfg)
+    : cfg_(checkedConfig(cfg)), sharedBound_(cfg_.sharedBlocks),
+      privateBound_(cfg_.privateBlocks ? cfg_.privateBlocks : 1)
+{
     Rng seeder(cfg_.seed);
     rngs_.reserve(cfg_.numProcs);
     for (ProcId p = 0; p < cfg_.numProcs; ++p)
@@ -25,8 +39,7 @@ Workload::next()
     Rng &rng = rngs_[p];
 
     if (cfg_.privateBlocks > 0 && rng.chance(cfg_.privateFraction)) {
-        const Addr a = privateRegionBase(p) +
-                       rng.range(cfg_.privateBlocks);
+        const Addr a = privateRegionBase(p) + rng.range(privateBound_);
         return MemRef{p, a, rng.chance(cfg_.privateWriteFrac)};
     }
     return sharedRef(p, rng);
@@ -74,7 +87,7 @@ LockContentionWorkload::sharedRef(ProcId p, Rng &rng)
         pendingWrite_[p] = false;
         return MemRef{p, lastLock_[p], true};
     }
-    const Addr a = sharedRegionBase + rng.range(locks_);
+    const Addr a = sharedRegionBase + rng.range(lockBound_);
     lastLock_[p] = a;
     pendingWrite_[p] = true;
     return MemRef{p, a, false};
@@ -83,13 +96,14 @@ LockContentionWorkload::sharedRef(ProcId p, Rng &rng)
 MemRef
 ReadMostlyWorkload::sharedRef(ProcId p, Rng &rng)
 {
-    const Addr a = sharedRegionBase + rng.range(cfg_.sharedBlocks);
+    const Addr a = sharedRegionBase + rng.range(sharedBound_);
     return MemRef{p, a, rng.chance(writeFrac_)};
 }
 
 TaskMigrationWorkload::TaskMigrationWorkload(const WorkloadConfig &cfg,
                                              std::uint64_t period)
-    : cfg_(cfg), period_(period)
+    : cfg_(cfg), period_(period),
+      privateBound_(cfg_.privateBlocks ? cfg_.privateBlocks : 1)
 {
     if (cfg_.numProcs == 0)
         DIR2B_FATAL("workload needs at least one processor");
@@ -121,9 +135,7 @@ TaskMigrationWorkload::next()
 
     // The task references *its own* working set (named by task id)
     // from whichever processor it currently runs on.
-    const Addr a = privateRegionBase(task) +
-                   rng.range(cfg_.privateBlocks ? cfg_.privateBlocks
-                                                : 1);
+    const Addr a = privateRegionBase(task) + rng.range(privateBound_);
     return MemRef{placement_[task], a,
                   rng.chance(cfg_.privateWriteFrac)};
 }

@@ -72,8 +72,13 @@ class Workload : public RefStream
 
     WorkloadConfig cfg_;
     std::vector<Rng> rngs_;
+    /** Bound of the shared-block draws (cfg_.sharedBlocks). */
+    RangeBound sharedBound_;
 
   private:
+    /** Bound of the background private draws; 1 (and unused) when
+     *  cfg_.privateBlocks is 0. */
+    RangeBound privateBound_;
     ProcId turn_ = 0;
 };
 
@@ -122,7 +127,7 @@ class LockContentionWorkload : public Workload
   public:
     explicit LockContentionWorkload(const WorkloadConfig &cfg,
                                     std::size_t locks = 2)
-        : Workload(cfg), locks_(locks ? locks : 1)
+        : Workload(cfg), lockBound_(locks ? locks : 1)
     {}
 
     std::string name() const override { return "lock_contention"; }
@@ -131,7 +136,7 @@ class LockContentionWorkload : public Workload
     MemRef sharedRef(ProcId p, Rng &rng) override;
 
   private:
-    std::size_t locks_;
+    RangeBound lockBound_;
     std::vector<bool> pendingWrite_ =
         std::vector<bool>(cfg_.numProcs, false);
     std::vector<Addr> lastLock_ = std::vector<Addr>(cfg_.numProcs, 0);
@@ -177,6 +182,8 @@ class TaskMigrationWorkload : public RefStream
   private:
     WorkloadConfig cfg_;
     std::uint64_t period_;
+    /** Bound of the working-set draws (at least 1). */
+    RangeBound privateBound_;
     std::vector<Rng> rngs_;
     /** task -> processor currently running it. */
     std::vector<ProcId> placement_;

@@ -17,12 +17,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 void
@@ -34,20 +28,12 @@ Rng::reseed(std::uint64_t seed)
         word = splitMix64(sm);
 }
 
-std::uint64_t
-Rng::next()
+RangeBound::RangeBound(std::uint64_t b)
+    : b_(b), threshold_(0), magic_(0)
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
+    DIR2B_ASSERT(b > 0, "RangeBound with zero bound");
+    threshold_ = -b % b;
+    magic_ = ~static_cast<unsigned __int128>(0) / b + 1;
 }
 
 std::uint64_t
@@ -61,13 +47,6 @@ Rng::range(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-double
-Rng::uniform()
-{
-    // 53 random bits into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
